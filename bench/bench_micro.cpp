@@ -7,27 +7,24 @@
 ///
 /// Besides the google-benchmark suite, three standalone modes:
 ///   --quick         tiny min-time smoke run (CI crash detection)
-///   --tile-sweep    P/O/K tile-size sweep of the tiled AND blocked kernels
-///                   plus an old-vs-new LUT-GEMM comparison (pre-refactor
-///                   row-streaming kernel vs the tiled src/kernels one).
-///                   The blocked leg is swept once per supported SIMD
-///                   dispatch level (kernels::simd): CSVs land in results/,
-///                   the portable (scalar) winner plus per-ISA refinements
+///   --tile-sweep    P/O/K panel-tile sweep of the blocked LUT-GEMM
+///                   forward, once per supported SIMD dispatch level
+///                   (kernels::simd), every config memcmp-checked against
+///                   the first: the CSV lands in results/, the portable
+///                   (scalar) winner plus per-ISA refinements
 ///                   are persisted to results/kernel_tuning.json in the
 ///                   shape kernels::Tuning::resolve() scans, and each ISA
 ///                   also gets a standalone results/kernel_tuning_<isa>.json
 ///                   (usable directly via AMRET_TUNING_FILE; uploaded by the
 ///                   bench-smoke workflow). Override with AMRET_TILES=PxOxK.
-///   --kernels-json  writes results/BENCH_kernels.json: blocked-vs-scalar
-///                   LUT-GEMM forward throughput against the PR-3
-///                   row-streaming baseline, a "simd" section timing the
-///                   vector paths (8-bit gather leg, 4-bit nibble/pshufb
-///                   leg) per ISA against the scalar-dispatch blocked
-///                   kernel, plus a quantized-conv end-to-end number — all
-///                   with bitwise-equality flags. Run by scripts/check.sh
-///                   and the bench-smoke workflow; scripts/check_bench.py
-///                   gates the simd_vs_blocked_speedup field against the
-///                   committed baseline.
+///   --kernels-json  writes results/BENCH_kernels.json: the scalar-dispatch
+///                   blocked LUT-GEMM forward time, a "simd" section timing
+///                   the vector paths (8-bit gather leg, 4-bit nibble/pshufb
+///                   leg) per ISA against it with bitwise-equality flags,
+///                   plus a quantized-conv end-to-end time. Run by
+///                   scripts/check.sh and the bench-smoke workflow;
+///                   scripts/check_bench.py gates the simd_vs_blocked_speedup
+///                   field against the committed baseline.
 #include "amret.hpp"
 
 #include "kernels/simd/simd.hpp"
@@ -50,29 +47,52 @@ void fill_codes(std::vector<std::uint16_t>& v, const appmult::AppMultLut& lut,
     for (auto& c : v) c = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
 }
 
-void BM_LutForwardGemm(benchmark::State& state) {
-    const unsigned bits = static_cast<unsigned>(state.range(0));
-    const std::int64_t o = 16, p = 256, k = 72;
-    const auto lut = appmult::AppMultLut::exact(bits);
-    util::Rng rng(1);
-    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
-    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
-    fill_codes(wq, lut, rng);
-    fill_codes(xq, lut, rng);
+/// Random (o, k) weight and (p, k) activation codes under \p lut, packed
+/// into panels under (tp | to) x tk: the blocked kernels' operands.
+/// Weights are static at deployment, so packing stays outside the timed
+/// loops.
+struct PackedGemm {
+    std::vector<std::uint16_t> wq, xq;
+    kernels::Workspace ws;
+    kernels::BlockedGemmArgs args;
 
-    kernels::LutGemmArgs args;
-    args.bits = bits;
-    args.lut = lut.table().data();
-    args.wq = wq.data();
-    args.xq = xq.data();
-    args.o = o;
-    args.p = p;
-    args.k = k;
+    PackedGemm(const appmult::AppMultLut& lut, std::int64_t o, std::int64_t p,
+               std::int64_t k, std::uint64_t seed) {
+        util::Rng rng(seed);
+        wq.resize(static_cast<std::size_t>(o * k));
+        xq.resize(static_cast<std::size_t>(p * k));
+        fill_codes(wq, lut, rng);
+        fill_codes(xq, lut, rng);
+        args.bits = lut.bits();
+        args.lut = lut.table().data();
+        args.o = o;
+        args.p = p;
+        args.k = k;
+        const kernels::Tuning& t = kernels::Tuning::current();
+        pack(t.tp, t.to, t.tk);
+    }
+
+    /// Re-packs both operands under new panel tiles.
+    void pack(std::int64_t tp, std::int64_t to, std::int64_t tk) {
+        ws.reset();
+        args.w = kernels::pack_weight_panels(
+            wq.data(), args.bits, kernels::make_panel_plan(args.o, args.k, to, tk),
+            ws);
+        args.x = kernels::pack_activation_panels(
+            xq.data(), kernels::make_panel_plan(args.p, args.k, tp, tk), ws);
+        if (args.bits <= 4) kernels::attach_packed4(args.x, args.bits, ws);
+    }
+};
+
+void BM_LutForwardGemm(benchmark::State& state) {
+    const auto lut = appmult::AppMultLut::exact(static_cast<unsigned>(state.range(0)));
+    const std::int64_t o = 16, p = 256, k = 72;
+    const PackedGemm g(lut, o, p, k, 1);
     std::vector<float> y(static_cast<std::size_t>(p * o));
     kernels::Workspace ws;
     for (auto _ : state) {
         ws.reset();
-        kernels::lut_forward(args, nullptr, y.data(), ws);
+        kernels::lut_forward_blocked(g.args, nullptr, y.data(), ws);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
@@ -84,29 +104,20 @@ void BM_LutBackwardGemm(benchmark::State& state) {
     const std::int64_t o = 16, p = 256, k = 72;
     const auto lut = appmult::AppMultLut::exact(bits);
     const auto grad = core::build_ste_grad(bits);
-    util::Rng rng(2);
-    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
-    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
+    const PackedGemm g(lut, o, p, k, 2);
+    util::Rng rng(3);
     std::vector<float> gyp(static_cast<std::size_t>(p * o));
-    fill_codes(wq, lut, rng);
-    fill_codes(xq, lut, rng);
     for (auto& v : gyp) v = static_cast<float>(rng.normal());
-
-    kernels::LutGemmArgs args;
-    args.bits = bits;
-    args.lut = lut.table().data();
-    args.wq = wq.data();
-    args.xq = xq.data();
-    args.o = o;
-    args.p = p;
-    args.k = k;
     std::vector<float> gw(static_cast<std::size_t>(o * k));
     std::vector<float> gx(static_cast<std::size_t>(p * k));
+    kernels::Workspace ws;
     for (auto _ : state) {
+        ws.reset();
         std::fill(gw.begin(), gw.end(), 0.0f);
         std::fill(gx.begin(), gx.end(), 0.0f);
-        kernels::lut_backward(args, gyp.data(), grad.dw_table().data(),
-                              grad.dx_table().data(), gw.data(), gx.data());
+        kernels::lut_backward_blocked(g.args, gyp.data(), grad.dw_table().data(),
+                                      grad.dx_table().data(), gw.data(), gx.data(),
+                                      ws);
         benchmark::DoNotOptimize(gw.data());
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
@@ -177,28 +188,14 @@ BENCHMARK(BM_QuantConvForward);
 
 void BM_LutForwardGemmThreads(benchmark::State& state) {
     runtime::set_num_threads(static_cast<unsigned>(state.range(0)));
-    const unsigned bits = 8;
     const std::int64_t o = 32, p = 1024, k = 72;
-    const auto lut = appmult::AppMultLut::exact(bits);
-    util::Rng rng(1);
-    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
-    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
-    fill_codes(wq, lut, rng);
-    fill_codes(xq, lut, rng);
-
-    kernels::LutGemmArgs args;
-    args.bits = bits;
-    args.lut = lut.table().data();
-    args.wq = wq.data();
-    args.xq = xq.data();
-    args.o = o;
-    args.p = p;
-    args.k = k;
+    const auto lut = appmult::AppMultLut::exact(8);
+    const PackedGemm g(lut, o, p, k, 1);
     std::vector<float> y(static_cast<std::size_t>(p * o));
     kernels::Workspace ws;
     for (auto _ : state) {
         ws.reset();
-        kernels::lut_forward(args, nullptr, y.data(), ws);
+        kernels::lut_forward_blocked(g.args, nullptr, y.data(), ws);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
@@ -235,83 +232,17 @@ BENCHMARK(BM_SmoothRow)->Arg(4)->Arg(32);
 
 // ------------------------------------------------------------ tile sweep --
 
-/// Pre-refactor forward kernel (the row-streaming src/approx/lut_gemm.cpp
-/// implementation, reproduced verbatim): no K blocking, no accumulator
-/// unrolling, row sums recomputed per call. Kept here as the baseline the
-/// tiled kernel is measured against.
-void lut_forward_rowstream(const kernels::LutGemmArgs& args, const float* bias,
-                           float* y) {
-    const std::int64_t o_rows = args.o, p_rows = args.p, depth = args.k;
-    const unsigned bits = args.bits;
+/// Shape of the sweep / kernels-json GEMM: one conv-like layer.
+constexpr std::int64_t kSweepO = 64, kSweepP = 1024, kSweepK = 576;
 
-    std::vector<std::int64_t> sum_w(static_cast<std::size_t>(o_rows), 0);
-    runtime::parallel_for(0, o_rows, runtime::grain_for(o_rows, 8),
-                          [&](std::int64_t ob, std::int64_t oe) {
-        for (std::int64_t i = ob; i < oe; ++i) {
-            const std::uint16_t* row = args.wq + i * depth;
-            std::int64_t s = 0;
-            for (std::int64_t kk = 0; kk < depth; ++kk) s += row[kk];
-            sum_w[static_cast<std::size_t>(i)] = s;
-        }
-    });
-
-    runtime::parallel_for(0, p_rows, runtime::grain_for(p_rows, 4),
-                          [&](std::int64_t pb, std::int64_t pe) {
-        for (std::int64_t pp = pb; pp < pe; ++pp) {
-            const std::uint16_t* xrow = args.xq + pp * depth;
-            std::int64_t sum_x = 0;
-            for (std::int64_t kk = 0; kk < depth; ++kk) sum_x += xrow[kk];
-
-            float* yrow = y + pp * o_rows;
-            for (std::int64_t oo = 0; oo < o_rows; ++oo) {
-                const std::uint16_t* wrow = args.wq + oo * depth;
-                std::int64_t acc = 0;
-                for (std::int64_t kk = 0; kk < depth; ++kk) {
-                    acc += args.lut[(static_cast<std::uint32_t>(wrow[kk]) << bits) |
-                                    xrow[kk]];
-                }
-                const std::int32_t zw = args.row_zero_w(oo);
-                const float ss = args.row_scale_w(oo) * args.scale_x;
-                const std::int64_t kzz =
-                    depth * static_cast<std::int64_t>(zw) * args.zero_x;
-                const std::int64_t corrected =
-                    acc -
-                    static_cast<std::int64_t>(args.zero_x) *
-                        sum_w[static_cast<std::size_t>(oo)] -
-                    static_cast<std::int64_t>(zw) * sum_x + kzz;
-                yrow[oo] =
-                    ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-            }
-        }
-    });
+/// Nonzero quantization constants for the sweep / kernels-json GEMM, so the
+/// Eq. (8) correction and the float epilogue are exercised.
+void set_sweep_constants(kernels::BlockedGemmArgs& a) {
+    a.scale_w = 0.01f;
+    a.scale_x = 0.02f;
+    a.zero_w = 120;
+    a.zero_x = 130;
 }
-
-struct SweepGemm {
-    appmult::AppMultLut lut = appmult::AppMultLut::exact(8);
-    std::vector<std::uint16_t> wq, xq;
-    std::vector<float> y;
-    kernels::LutGemmArgs args;
-
-    SweepGemm(std::int64_t o, std::int64_t p, std::int64_t k) {
-        util::Rng rng(11);
-        wq.resize(static_cast<std::size_t>(o * k));
-        xq.resize(static_cast<std::size_t>(p * k));
-        y.resize(static_cast<std::size_t>(p * o));
-        fill_codes(wq, lut, rng);
-        fill_codes(xq, lut, rng);
-        args.bits = 8;
-        args.lut = lut.table().data();
-        args.wq = wq.data();
-        args.xq = xq.data();
-        args.o = o;
-        args.p = p;
-        args.k = k;
-        args.scale_w = 0.01f;
-        args.scale_x = 0.02f;
-        args.zero_w = 120;
-        args.zero_x = 130;
-    }
-};
 
 template <typename Fn>
 double time_ms(int iters, Fn&& fn) {
@@ -360,67 +291,25 @@ std::FILE* open_results_csv(const char* name, const char* header) {
 int run_tile_sweep() {
     const int iters = 10;
 
-    // Old (row-streaming) vs new (tiled) forward over growing shapes, with a
-    // bitwise-equality check: both kernels implement the same Eq. (8)
-    // epilogue, so their outputs must memcmp equal.
-    std::FILE* cmp = open_results_csv(
-        "lut_gemm_compare.csv", "o,p,k,old_ms,new_ms,speedup,bitwise_equal");
-    if (!cmp) {
-        std::fprintf(stderr, "cannot open results/lut_gemm_compare.csv\n");
-        return 1;
-    }
-    struct Shape3 {
-        std::int64_t o, p, k;
-    };
-    const Shape3 shapes[] = {
-        {16, 256, 72}, {32, 1024, 288}, {64, 1024, 576}, {128, 2048, 288}};
-    bool all_equal = true;
-    for (const auto& s : shapes) {
-        SweepGemm g(s.o, s.p, s.k);
-        std::vector<float> y_old(g.y.size());
-        kernels::Workspace ws;
-        const double old_ms =
-            time_ms(iters, [&] { lut_forward_rowstream(g.args, nullptr, y_old.data()); });
-        const double new_ms = time_ms(iters, [&] {
-            ws.reset();
-            kernels::lut_forward(g.args, nullptr, g.y.data(), ws);
-        });
-        const bool equal =
-            std::memcmp(y_old.data(), g.y.data(), g.y.size() * sizeof(float)) == 0;
-        all_equal = all_equal && equal;
-        std::fprintf(cmp, "%lld,%lld,%lld,%.4f,%.4f,%.3f,%d\n",
-                     static_cast<long long>(s.o), static_cast<long long>(s.p),
-                     static_cast<long long>(s.k), old_ms, new_ms, old_ms / new_ms,
-                     equal ? 1 : 0);
-        std::printf("compare o=%lld p=%lld k=%lld: old %.3f ms, new %.3f ms, "
-                    "speedup %.2fx, bitwise_equal=%d\n",
-                    static_cast<long long>(s.o), static_cast<long long>(s.p),
-                    static_cast<long long>(s.k), old_ms, new_ms, old_ms / new_ms,
-                    equal ? 1 : 0);
-    }
-    std::fclose(cmp);
-
-    // P/O/K block-dimension sweep on one conv-like shape, timing both the
-    // tiled row-major kernel and the blocked (panelized) kernel per config.
-    // Weight panels are packed outside the timed region — weights are static
-    // at deployment — while the blocked forward itself is what the tuner
-    // ranks. The blocked leg runs once per supported SIMD dispatch level
-    // (the winning tile differs between the scalar walk and the gather
-    // kernels); the scalar winner plus per-ISA refinements are persisted to
-    // results/kernel_tuning.json for kernels::Tuning::resolve().
-    std::FILE* sweep = open_results_csv(
-        "kernel_tile_sweep.csv",
-        "tp,to,tk,isa,tiled_ms,tiled_gops,blocked_ms,blocked_gops");
+    // P/O/K panel-tile sweep on one conv-like shape, per supported SIMD
+    // dispatch level (the winning tile differs between the scalar walk and
+    // the gather kernels). Panels are packed outside the timed region —
+    // weights are static at deployment — while the forward itself is what
+    // the tuner ranks. Every config must reproduce the first one's output
+    // bit for bit; the scalar winner plus per-ISA refinements are persisted
+    // to results/kernel_tuning.json for kernels::Tuning::resolve().
+    std::FILE* sweep = open_results_csv("kernel_tile_sweep.csv",
+                                        "tp,to,tk,isa,blocked_ms,blocked_gops");
     if (!sweep) {
         std::fprintf(stderr, "cannot open results/kernel_tile_sweep.csv\n");
         return 1;
     }
-    SweepGemm g(64, 1024, 576);
-    std::vector<float> y_ref(g.y.size());
+    const appmult::AppMultLut lut = appmult::AppMultLut::exact(8);
+    PackedGemm g(lut, kSweepO, kSweepP, kSweepK, 11);
+    set_sweep_constants(g.args);
+    std::vector<float> y(static_cast<std::size_t>(g.args.p * g.args.o));
+    std::vector<float> y_ref;
     kernels::Workspace ws;
-    kernels::Workspace pack_ws;
-    ws.reset();
-    kernels::lut_forward(g.args, nullptr, y_ref.data(), ws);
     const double ops = static_cast<double>(g.args.o * g.args.p * g.args.k);
     const std::vector<kernels::simd::Isa> isas = supported_isas();
     struct IsaBest {
@@ -431,49 +320,17 @@ int run_tile_sweep() {
     for (const std::int64_t tp : {4, 8, 16}) {
         for (const std::int64_t to : {8, 16, 32, 64}) {
             for (const std::int64_t tk : {64, 128, 256, 576}) {
-                const kernels::TileConfig tile{tp, to, tk};
-                const double ms = time_ms(iters, [&] {
-                    ws.reset();
-                    kernels::lut_forward(g.args, nullptr, g.y.data(), ws, tile);
-                });
-                if (std::memcmp(y_ref.data(), g.y.data(),
-                                g.y.size() * sizeof(float)) != 0) {
-                    std::fprintf(stderr, "tile (%lld,%lld,%lld) changed results\n",
-                                 static_cast<long long>(tp),
-                                 static_cast<long long>(to),
-                                 static_cast<long long>(tk));
-                    return 1;
-                }
-
-                pack_ws.reset();
-                kernels::BlockedGemmArgs bargs;
-                bargs.bits = g.args.bits;
-                bargs.lut = g.args.lut;
-                bargs.w = kernels::pack_weight_panels(
-                    g.wq.data(), g.args.bits,
-                    kernels::make_panel_plan(g.args.o, g.args.k, to, tk),
-                    pack_ws);
-                bargs.x = kernels::pack_activation_panels(
-                    g.xq.data(),
-                    kernels::make_panel_plan(g.args.p, g.args.k, tp, tk),
-                    pack_ws);
-                bargs.o = g.args.o;
-                bargs.p = g.args.p;
-                bargs.k = g.args.k;
-                bargs.scale_w = g.args.scale_w;
-                bargs.scale_x = g.args.scale_x;
-                bargs.zero_w = g.args.zero_w;
-                bargs.zero_x = g.args.zero_x;
+                g.pack(tp, to, tk);
                 for (const auto isa : isas) {
                     kernels::simd::set_isa_for_test(isa);
                     const double bms = time_ms(iters, [&] {
                         ws.reset();
-                        kernels::lut_forward_blocked(bargs, nullptr, g.y.data(),
-                                                     ws);
+                        kernels::lut_forward_blocked(g.args, nullptr, y.data(), ws);
                     });
                     kernels::simd::clear_isa_override();
-                    if (std::memcmp(y_ref.data(), g.y.data(),
-                                    g.y.size() * sizeof(float)) != 0) {
+                    if (y_ref.empty()) y_ref = y;
+                    if (std::memcmp(y_ref.data(), y.data(),
+                                    y.size() * sizeof(float)) != 0) {
                         std::fprintf(
                             stderr,
                             "blocked tile (%lld,%lld,%lld) [%s] changed results\n",
@@ -490,12 +347,12 @@ int run_tile_sweep() {
                         b.t.to = to;
                         b.t.tk = tk;
                     }
-                    std::fprintf(sweep, "%lld,%lld,%lld,%s,%.4f,%.3f,%.4f,%.3f\n",
+                    std::fprintf(sweep, "%lld,%lld,%lld,%s,%.4f,%.3f\n",
                                  static_cast<long long>(tp),
                                  static_cast<long long>(to),
                                  static_cast<long long>(tk),
-                                 kernels::simd::isa_name(isa), ms,
-                                 ops / ms / 1e6, bms, ops / bms / 1e6);
+                                 kernels::simd::isa_name(isa), bms,
+                                 ops / bms / 1e6);
                 }
             }
         }
@@ -573,70 +430,27 @@ int run_tile_sweep() {
     }
     std::printf("wrote results/kernel_tuning.json (+ per-ISA "
                 "results/kernel_tuning_<isa>.json)\n");
-    if (!all_equal) {
-        std::fprintf(stderr, "old/new LUT-GEMM outputs differ\n");
-        return 1;
-    }
     return 0;
 }
 
 // --------------------------------------------------------- BENCH_kernels --
 
-/// Emits results/BENCH_kernels.json: LUT-GEMM forward throughput of the
-/// blocked and tiled kernels against the PR-3 row-streaming baseline, plus a
-/// quantized-conv end-to-end scalar-vs-blocked comparison. Every leg carries
-/// a bitwise-equality flag; a false flag fails the run (a perf shortfall
-/// only prints — machine-dependent numbers should not gate CI).
+/// Emits results/BENCH_kernels.json: the scalar-dispatch blocked LUT-GEMM
+/// forward time, every supported SIMD level's time and speedup against it
+/// (8-bit gather and 4-bit nibble legs), and a quantized-conv end-to-end
+/// time. Every SIMD leg carries a bitwise-equality flag; a false flag fails
+/// the run (a perf shortfall only prints — machine-dependent numbers should
+/// not gate CI).
 int run_kernels_json() {
     const int iters = 20;
 
-    SweepGemm g(64, 1024, 576);
-    std::vector<float> y_base(g.y.size());
-    std::vector<float> y_tiled(g.y.size());
-    std::vector<float> y_blocked(g.y.size());
-    kernels::Workspace ws;
-    const double rowstream_ms = time_ms_best(
-        iters, [&] { lut_forward_rowstream(g.args, nullptr, y_base.data()); });
-    const double tiled_ms = time_ms_best(iters, [&] {
-        ws.reset();
-        kernels::lut_forward(g.args, nullptr, y_tiled.data(), ws);
-    });
-
     const kernels::Tuning& tiles = kernels::Tuning::current();
-    kernels::Workspace pack_ws;
-    kernels::BlockedGemmArgs bargs;
-    bargs.bits = g.args.bits;
-    bargs.lut = g.args.lut;
-    bargs.w = kernels::pack_weight_panels(
-        g.wq.data(), g.args.bits,
-        kernels::make_panel_plan(g.args.o, g.args.k, tiles.to, tiles.tk),
-        pack_ws);
-    bargs.x = kernels::pack_activation_panels(
-        g.xq.data(), kernels::make_panel_plan(g.args.p, g.args.k, tiles.tp, tiles.tk),
-        pack_ws);
-    bargs.o = g.args.o;
-    bargs.p = g.args.p;
-    bargs.k = g.args.k;
-    bargs.scale_w = g.args.scale_w;
-    bargs.scale_x = g.args.scale_x;
-    bargs.zero_w = g.args.zero_w;
-    bargs.zero_x = g.args.zero_x;
-    // The "blocked" leg is pinned to scalar dispatch so it stays the PR-8
-    // blocked kernel — the baseline the SIMD legs below are measured against.
-    kernels::simd::set_isa_for_test(kernels::simd::Isa::kScalar);
-    const double blocked_ms = time_ms_best(iters, [&] {
-        ws.reset();
-        kernels::lut_forward_blocked(bargs, nullptr, y_blocked.data(), ws);
-    });
-    kernels::simd::clear_isa_override();
+    const appmult::AppMultLut lut8 = appmult::AppMultLut::exact(8);
+    PackedGemm g(lut8, kSweepO, kSweepP, kSweepK, 11);
+    set_sweep_constants(g.args);
+    const std::size_t ny = static_cast<std::size_t>(kSweepP * kSweepO);
+    kernels::Workspace ws;
 
-    const bool tiled_eq =
-        std::memcmp(y_base.data(), y_tiled.data(), g.y.size() * sizeof(float)) == 0;
-    const bool blocked_eq =
-        std::memcmp(y_base.data(), y_blocked.data(), g.y.size() * sizeof(float)) ==
-        0;
-
-    // ------------------------------------------------------- SIMD legs ----
     // Two operand regimes hit different vector kernels: 8-bit codes run the
     // gather path, 4-bit codes with nibble-packed activations run the
     // pshufb path. Each leg times every supported dispatch level against
@@ -646,7 +460,8 @@ int run_kernels_json() {
     bool simd_all_eq = true;
     double best_overall_speedup = 0.0;
     std::string best_overall = "none";
-    std::vector<float> y_leg(g.y.size()), y_leg_ref(g.y.size());
+    double blocked_ms = 0.0; // scalar-dispatch time of the 8-bit leg
+    std::vector<float> y_leg(ny), y_leg_ref(ny);
     auto time_leg = [&](const kernels::BlockedGemmArgs& la, float* out,
                         kernels::simd::Isa isa) {
         kernels::simd::set_isa_for_test(isa);
@@ -657,17 +472,13 @@ int run_kernels_json() {
         kernels::simd::clear_isa_override();
         return ms;
     };
-    // Emits the per-leg JSON object; \p oracle (when given) additionally
-    // checks the scalar-dispatch reference itself, closing the loop back to
-    // the row-streaming output.
+    // Emits the per-leg JSON object and returns the leg's scalar time.
     auto leg_json = [&](const char* leg, const kernels::BlockedGemmArgs& la,
-                        const float* oracle) {
-        const std::size_t bytes = g.y.size() * sizeof(float);
+                        double* scalar_ms_out) {
+        const std::size_t bytes = ny * sizeof(float);
         const double scalar_ms = time_leg(la, y_leg_ref.data(),
                                           kernels::simd::Isa::kScalar);
-        if (oracle != nullptr)
-            simd_all_eq = simd_all_eq &&
-                          std::memcmp(oracle, y_leg_ref.data(), bytes) == 0;
+        if (scalar_ms_out != nullptr) *scalar_ms_out = scalar_ms;
         char buf[256];
         std::snprintf(buf, sizeof(buf),
                       "    \"%s\": {\n      \"scalar_ms\": %.4f,\n", leg,
@@ -711,28 +522,12 @@ int run_kernels_json() {
     // 4-bit leg: same GEMM shape, 4-bit exact product LUT, activations
     // nibble-packed at pack time (tr=16 keeps every panel pshufb-eligible).
     const appmult::AppMultLut lut4 = appmult::AppMultLut::exact(4);
-    util::Rng rng4(12);
-    std::vector<std::uint16_t> wq4(g.wq.size()), xq4(g.xq.size());
-    fill_codes(wq4, lut4, rng4);
-    fill_codes(xq4, lut4, rng4);
-    kernels::BlockedGemmArgs bargs4;
-    bargs4.bits = 4;
-    bargs4.lut = lut4.table().data();
-    bargs4.w = kernels::pack_weight_panels(
-        wq4.data(), 4, kernels::make_panel_plan(g.args.o, g.args.k, tiles.to, tiles.tk),
-        pack_ws);
-    kernels::ActPanels x4 = kernels::pack_activation_panels(
-        xq4.data(), kernels::make_panel_plan(g.args.p, g.args.k, 16, tiles.tk),
-        pack_ws);
-    kernels::attach_packed4(x4, 4, pack_ws);
-    bargs4.x = x4;
-    bargs4.o = g.args.o;
-    bargs4.p = g.args.p;
-    bargs4.k = g.args.k;
-    bargs4.scale_w = g.args.scale_w;
-    bargs4.scale_x = g.args.scale_x;
-    bargs4.zero_w = 7;
-    bargs4.zero_x = 9;
+    PackedGemm g4(lut4, kSweepO, kSweepP, kSweepK, 12);
+    g4.pack(16, tiles.to, tiles.tk);
+    g4.args.scale_w = g.args.scale_w;
+    g4.args.scale_x = g.args.scale_x;
+    g4.args.zero_w = 7;
+    g4.args.zero_x = 9;
 
     std::string available;
     for (const auto isa : isas) {
@@ -743,8 +538,8 @@ int run_kernels_json() {
     simd_json += std::string("    \"active_default\": \"") +
                  kernels::simd::isa_name(kernels::simd::select()) + "\",\n";
     simd_json += "    \"available_isas\": \"" + available + "\",\n";
-    simd_json += leg_json("gather_bits8", bargs, y_base.data()) + ",\n";
-    simd_json += leg_json("nibble_bits4", bargs4, nullptr) + ",\n";
+    simd_json += leg_json("gather_bits8", g.args, &blocked_ms) + ",\n";
+    simd_json += leg_json("nibble_bits4", g4.args, nullptr) + ",\n";
     {
         char buf[192];
         std::snprintf(buf, sizeof(buf),
@@ -757,14 +552,10 @@ int run_kernels_json() {
         simd_json += buf;
     }
 
-    // Quantized conv end-to-end under each engine layout mode: same seeds,
-    // same forward count, so observer state evolves identically and the two
-    // output tensors must memcmp equal (the layer-level bitwise contract).
-    double conv_ms[2] = {0.0, 0.0};
-    tensor::Tensor conv_y[2];
-    for (int m = 0; m < 2; ++m) {
-        kernels::set_layout_mode(m == 0 ? kernels::LayoutMode::kScalar
-                                        : kernels::LayoutMode::kBlocked);
+    // Quantized conv end to end (quantize + fused im2col pack + GEMM +
+    // epilogue) at the default dispatch level.
+    double conv_ms = 0.0;
+    {
         util::Rng rng(4);
         approx::ApproxConv2d conv(8, 32, 3, 1, 1, rng);
         conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
@@ -773,18 +564,11 @@ int run_kernels_json() {
         const tensor::Tensor x =
             tensor::Tensor::randn(tensor::Shape{8, 8, 32, 32}, xrng);
         nn::Context ctx;
-        conv_ms[m] = time_ms_best(iters, [&] {
+        conv_ms = time_ms_best(iters, [&] {
             auto y = conv.forward(x, ctx);
             benchmark::DoNotOptimize(y.data());
         });
-        conv_y[m] = conv.forward(x, ctx);
     }
-    kernels::clear_layout_mode_override();
-    const bool conv_eq =
-        conv_y[0].shape() == conv_y[1].shape() &&
-        std::memcmp(conv_y[0].data(), conv_y[1].data(),
-                    static_cast<std::size_t>(conv_y[0].numel()) * sizeof(float)) ==
-            0;
 
     std::filesystem::create_directories("results");
     std::FILE* f = std::fopen("results/BENCH_kernels.json", "w");
@@ -798,53 +582,32 @@ int run_kernels_json() {
         "  \"lut_gemm_forward\": {\n"
         "    \"o\": %lld, \"p\": %lld, \"k\": %lld, \"bits\": %u,\n"
         "    \"tiles\": {\"rows_p\": %lld, \"rows_o\": %lld, \"depth\": %lld},\n"
-        "    \"rowstream_ms\": %.4f,\n"
-        "    \"tiled_ms\": %.4f,\n"
-        "    \"blocked_ms\": %.4f,\n"
-        "    \"tiled_vs_rowstream_speedup\": %.3f,\n"
-        "    \"blocked_vs_rowstream_speedup\": %.3f,\n"
-        "    \"target_blocked_vs_rowstream\": 1.3,\n"
-        "    \"tiled_bitwise_equal\": %s,\n"
-        "    \"blocked_bitwise_equal\": %s\n"
+        "    \"blocked_ms\": %.4f\n"
         "  },\n"
         "%s,\n"
         "  \"conv_forward_end_to_end\": {\n"
         "    \"batch\": 8, \"in_ch\": 8, \"out_ch\": 32, \"hw\": 32,\n"
-        "    \"scalar_ms\": %.4f,\n"
-        "    \"blocked_ms\": %.4f,\n"
-        "    \"blocked_vs_scalar_speedup\": %.3f,\n"
-        "    \"bitwise_equal\": %s\n"
+        "    \"ms\": %.4f\n"
         "  }\n"
         "}\n",
-        static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
-        static_cast<long long>(g.args.k), g.args.bits,
+        static_cast<long long>(kSweepO), static_cast<long long>(kSweepP),
+        static_cast<long long>(kSweepK), g.args.bits,
         static_cast<long long>(tiles.tp), static_cast<long long>(tiles.to),
-        static_cast<long long>(tiles.tk), rowstream_ms, tiled_ms, blocked_ms,
-        rowstream_ms / tiled_ms, rowstream_ms / blocked_ms,
-        tiled_eq ? "true" : "false", blocked_eq ? "true" : "false",
-        simd_json.c_str(), conv_ms[0], conv_ms[1], conv_ms[0] / conv_ms[1],
-        conv_eq ? "true" : "false");
+        static_cast<long long>(tiles.tk), blocked_ms, simd_json.c_str(), conv_ms);
     std::fclose(f);
 
-    std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): rowstream %.3f ms, "
-                "tiled %.3f ms (%.2fx), blocked %.3f ms (%.2fx)\n",
-                static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
-                static_cast<long long>(g.args.k), rowstream_ms, tiled_ms,
-                rowstream_ms / tiled_ms, blocked_ms, rowstream_ms / blocked_ms);
-    std::printf("conv end-to-end: scalar %.3f ms, blocked %.3f ms (%.2fx), "
-                "bitwise_equal=%d\n",
-                conv_ms[0], conv_ms[1], conv_ms[0] / conv_ms[1], conv_eq ? 1 : 0);
+    std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): scalar-dispatch "
+                "blocked %.3f ms\n",
+                static_cast<long long>(kSweepO), static_cast<long long>(kSweepP),
+                static_cast<long long>(kSweepK), blocked_ms);
+    std::printf("conv end-to-end: %.3f ms\n", conv_ms);
     std::printf("simd best: %s at %.2fx vs scalar-dispatch blocked\n",
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");
-    if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq) {
+    if (!simd_all_eq) {
         std::fprintf(stderr, "BENCH_kernels: bitwise equality violated\n");
         return 1;
     }
-    if (rowstream_ms / blocked_ms < 1.3)
-        std::fprintf(stderr,
-                     "warning: blocked forward %.2fx vs rowstream (target 1.3x)\n",
-                     rowstream_ms / blocked_ms);
     if (isas.size() > 1 && best_overall_speedup < 1.5)
         std::fprintf(stderr,
                      "warning: simd best %.2fx vs scalar blocked (target 1.5x)\n",

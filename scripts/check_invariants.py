@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint: invariants clang-tidy has no checker for.
 
-Six rules, each scoped to where the invariant actually holds meaning:
+Seven rules, each scoped to where the invariant actually holds meaning:
 
   kernel-alloc     src/kernels must stay allocation-free (Workspace-only):
                    the inner loops run per batch inside parallel workers, and
@@ -46,6 +46,12 @@ Six rules, each scoped to where the invariant actually holds meaning:
                    is the sanctioned escape hatch and carries
                    `// invariant-ok:` marks.
 
+  env-knobs        Every `getenv("AMRET_...")` in src/ must name a knob
+                   listed in README.md's environment-knob table (rows of
+                   the form `| \`AMRET_X\` | ...`): a knob must be
+                   documented with what it is for, so a deleted knob cannot
+                   come back undocumented.
+
 A line ending in `// invariant-ok: <reason>` is exempt from all rules.
 Exit status: 0 clean, 1 violations, 2 usage error.
 """
@@ -76,6 +82,8 @@ RNG_TIME_SEED = re.compile(
 )
 PANEL_INDEX = re.compile(r"\bpanel_offset\s*\(|\b\w*_panels\s*\[|\bpanels\s*\[")
 REGISTRY_LOOKUP = re.compile(r"\bRegistry::instance\s*\(")
+ENV_KNOB = re.compile(r'getenv\s*\(\s*"(AMRET_\w+)"')
+README_KNOB_ROW = re.compile(r"^\|\s*`(AMRET_\w+)`\s*\|")
 SIMD_INTRINSIC = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)i?\b"
     r"|#\s*include\s*<(?:imm|x86|xmm|emm|pmm|tmm|smm|nmm|wmm|avx\w*|arm_neon)"
@@ -129,6 +137,31 @@ def check_file(path, rules, findings):
             elif not pattern.search(code):
                 continue
             findings.append(f"{rel}:{lineno}: [{rule}] {message}\n    {raw.strip()}")
+
+
+def documented_knobs():
+    """Knob names of README.md's environment-knob table."""
+    readme = ROOT / "README.md"
+    if not readme.exists():
+        return set()
+    return {m.group(1) for line in readme.read_text().splitlines()
+            if (m := README_KNOB_ROW.match(line))}
+
+
+def check_env_knobs(findings):
+    documented = documented_knobs()
+    for path in iter_source(["src"]):
+        rel = path.relative_to(ROOT).as_posix()
+        for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+            if ALLOW_MARK in raw:
+                continue
+            # Match on the raw line: the knob name is a string literal,
+            # which the generic pass blanks out.
+            for m in ENV_KNOB.finditer(raw.split("//")[0]):
+                if m.group(1) not in documented:
+                    findings.append(
+                        f"{rel}:{lineno}: [env-knobs] {m.group(1)} is not in "
+                        f"README.md's environment-knob table\n    {raw.strip()}")
 
 
 def main():
@@ -201,13 +234,15 @@ def main():
             findings,
         )
 
+    check_env_knobs(findings)
+
     if findings:
         print(f"{len(findings)} invariant violation(s):")
         for f in findings:
             print(f)
         return 1
     print("invariants clean (kernel-alloc, mutable-static, rng-discipline, "
-          "panel-indexing, simd-intrinsics, registry-discipline)")
+          "panel-indexing, simd-intrinsics, registry-discipline, env-knobs)")
     return 0
 
 

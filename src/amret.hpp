@@ -26,7 +26,7 @@
 #include "data/shapes.hpp"             // geometric-shapes task
 #include "kernels/im2col.hpp"          // im2col/col2im planner
 #include "kernels/layout.hpp"          // blocked panel layouts + fused im2col
-#include "kernels/lut_kernels.hpp"     // tiled LUT-GEMM kernels
+#include "kernels/lut_kernels.hpp"     // blocked LUT-GEMM kernels
 #include "kernels/quantize.hpp"        // workspace-backed quantization
 #include "kernels/tuning.hpp"          // kernel tuning constants
 #include "kernels/workspace.hpp"       // bump-allocated scratch arena
@@ -68,5 +68,4 @@
 #include "util/args.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"

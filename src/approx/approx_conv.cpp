@@ -2,6 +2,7 @@
 
 #include "approx/depthwise.hpp"
 #include "kernels/im2col.hpp"
+#include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
 #include "kernels/tuning.hpp"
 #include "runtime/parallel.hpp"
@@ -124,17 +125,37 @@ Tensor ApproxConv2d::backward_float(const Tensor& gy, State& st, nn::Context& ct
     return kernels::col2im(dcols, st.geom);
 }
 
+kernels::BlockedGemmArgs ApproxConv2d::gemm_args(const State& st) const {
+    kernels::BlockedGemmArgs args;
+    args.bits = mult_.bits();
+    args.lut = mult_.lut->table().data();
+    args.w = st.wpan;
+    args.x = st.xpan;
+    args.o = out_ch_;
+    args.p = st.geom.positions();
+    args.k = st.geom.patch();
+    args.scale_x = st.xq.params.scale;
+    args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
+    if (per_channel_) {
+        args.scale_w_per_o = st.wscale_per_o;
+        args.zero_w_per_o = st.wzero_per_o;
+    } else {
+        args.scale_w = st.wq.params.scale;
+        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
+    }
+    return args;
+}
+
 Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx) {
     assert(mult_.valid() && "set_multiplier() before quantized forward");
     const unsigned bits = mult_.bits();
     const std::int64_t patch = st.geom.patch();
 
     // New allocation epoch: everything quantized-forward puts in the arena
-    // (codes, masks, columns) stays valid through the matching backward.
+    // (code panels, masks) stays valid through the matching backward.
     st.ws.reset();
 
     // Weight quantization parameters track the current weights each step.
-    quant::QuantParams wparams{};
     if (per_channel_) {
         // Each output channel (filter) gets its own affine parameters.
         st.wscale_per_o = st.ws.alloc<float>(out_ch_);
@@ -143,7 +164,8 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
                                                       patch, bits, st.wscale_per_o,
                                                       st.wzero_per_o, st.ws);
     } else {
-        wparams = quant::choose_params(weight.value.min(), weight.value.max(), bits);
+        const quant::QuantParams wparams =
+            quant::choose_params(weight.value.min(), weight.value.max(), bits);
         st.wq = kernels::quantize_into(weight.value.data(), out_ch_ * patch, wparams,
                                        st.ws);
     }
@@ -155,73 +177,25 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
         act_observer_.observe(x);
     const quant::QuantParams xparams = act_observer_.params(bits);
 
-    // Blocked layout (default): weight codes are re-packed into pre-shifted
-    // panels and the activation codes are produced by the fused
-    // im2col+quantize packer — the full (P, patch) float column buffer never
-    // exists. The fused quantizer and the blocked kernels are bitwise-
-    // identical to the scalar path (tests/test_layout.cpp), so both modes
-    // train identically.
-    st.blocked = kernels::layout_mode() != kernels::LayoutMode::kScalar;
+    // Weight codes are re-packed into pre-shifted panels and the activation
+    // codes are produced by the fused im2col+quantize packer — the full
+    // (P, patch) float column buffer never exists. The row-major clamp masks
+    // stay in st for the backward epilogues.
     const std::int64_t positions = st.geom.positions();
+    const kernels::Tuning& tiles = kernels::Tuning::current();
+    st.wpan = kernels::pack_weight_panels(
+        st.wq.codes, bits,
+        kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk), st.ws);
+    std::uint8_t* x_in_range = st.ws.alloc<std::uint8_t>(positions * patch);
+    st.xpan = kernels::quantize_im2col_panels(
+        x.data(), st.geom, xparams,
+        kernels::make_panel_plan(positions, patch, tiles.tp, tiles.tk),
+        x_in_range, st.ws);
+    st.xq = kernels::QuantView{nullptr, x_in_range, xparams, positions * patch};
+
     Tensor po(Shape{positions, out_ch_});
-    if (st.blocked) {
-        const kernels::Tuning& tiles = kernels::Tuning::current();
-        st.wpan = kernels::pack_quantized_weights(
-            st.wq, bits,
-            kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk),
-            st.ws);
-        const kernels::QuantPanels xq = kernels::quantize_conv_panels(
-            x.data(), st.geom, xparams,
-            kernels::make_panel_plan(positions, patch, tiles.tp, tiles.tk),
-            st.ws);
-        st.xpan = xq.panels;
-        st.xq = kernels::QuantView{nullptr, xq.in_range, xparams,
-                                   positions * patch};
-
-        kernels::BlockedGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_ch_;
-        args.p = positions;
-        args.k = patch;
-        args.scale_x = xparams.scale;
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = wparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        }
-        kernels::lut_forward_blocked(args, bias.value.data(), po.data(),
-                                     st.ws);
-    } else {
-        float* cols = st.ws.alloc<float>(positions * patch);
-        kernels::im2col(x.data(), st.geom, cols);
-        st.xq = kernels::quantize_into(cols, positions * patch, xparams,
-                                       st.ws);
-
-        kernels::LutGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_ch_;
-        args.p = positions;
-        args.k = patch;
-        args.scale_x = xparams.scale;
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = wparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        }
-        kernels::lut_forward(args, bias.value.data(), po.data(), st.ws);
-    }
+    kernels::lut_forward_blocked(gemm_args(st), bias.value.data(), po.data(),
+                                 st.ws);
     Tensor y(Shape{st.geom.batch, out_ch_, st.geom.out_h(), st.geom.out_w()});
     kernels::scatter_positions(po.data(), st.geom.batch, out_ch_, st.geom.out_h(),
                                st.geom.out_w(), y.data());
@@ -250,48 +224,9 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) gx_raw[i] = 0.0f;
     });
-    if (st.blocked) {
-        kernels::BlockedGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_ch_;
-        args.p = p;
-        args.k = patch;
-        args.scale_x = scale_x;
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = st.wq.params.scale;
-            args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        }
-        kernels::lut_backward_blocked(args, gyp, mult_.grad->dw_table().data(),
-                                      mult_.grad->dx_table().data(), gw_raw,
-                                      gx_raw, st.ws);
-    } else {
-        kernels::LutGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_ch_;
-        args.p = p;
-        args.k = patch;
-        args.scale_x = scale_x;
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = st.wq.params.scale;
-            args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        }
-        kernels::lut_backward(args, gyp, mult_.grad->dw_table().data(),
-                              mult_.grad->dx_table().data(), gw_raw, gx_raw);
-    }
+    kernels::lut_backward_blocked(gemm_args(st), gyp, mult_.grad->dw_table().data(),
+                                  mult_.grad->dx_table().data(), gw_raw, gx_raw,
+                                  st.ws);
 
     // Eq. (9): fold in the quantizer derivative. dW/dw = 1/s_w inside the
     // clamp range (0 outside); dy/dY contributed s_w*s_x, so the weight
@@ -369,6 +304,22 @@ std::int64_t ApproxLinear::last_forward_macs(const nn::Context& ctx) const {
     return st ? st->batch * in_features_ * out_features_ : 0;
 }
 
+kernels::BlockedGemmArgs ApproxLinear::gemm_args(const State& st) const {
+    kernels::BlockedGemmArgs args;
+    args.bits = mult_.bits();
+    args.lut = mult_.lut->table().data();
+    args.w = st.wpan;
+    args.x = st.xpan;
+    args.o = out_features_;
+    args.p = st.batch;
+    args.k = in_features_;
+    args.scale_w = st.wq.params.scale;
+    args.scale_x = st.xq.params.scale;
+    args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
+    args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
+    return args;
+}
+
 Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
     assert(x.rank() == 2 && x.dim(1) == in_features_);
     State& st = ctx.state<State>(*this);
@@ -393,55 +344,22 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
         act_observer_.observe(x);
     const quant::QuantParams xparams = act_observer_.params(bits);
 
-    st.blocked = kernels::layout_mode() != kernels::LayoutMode::kScalar;
+    const kernels::Tuning& tiles = kernels::Tuning::current();
+    st.wpan = kernels::pack_weight_panels(
+        st.wq.codes, bits,
+        kernels::make_panel_plan(out_features_, in_features_, tiles.to, tiles.tk),
+        st.ws);
+    const std::int64_t nx = st.batch * in_features_;
+    std::uint8_t* x_in_range = st.ws.alloc<std::uint8_t>(nx);
+    st.xpan = kernels::quantize_into_panels(
+        x.data(), xparams,
+        kernels::make_panel_plan(st.batch, in_features_, tiles.tp, tiles.tk),
+        x_in_range, st.ws);
+    st.xq = kernels::QuantView{nullptr, x_in_range, xparams, nx};
+
     Tensor y(Shape{st.batch, out_features_});
-    if (st.blocked) {
-        const kernels::Tuning& tiles = kernels::Tuning::current();
-        st.wpan = kernels::pack_quantized_weights(
-            st.wq, bits,
-            kernels::make_panel_plan(out_features_, in_features_, tiles.to,
-                                     tiles.tk),
-            st.ws);
-        const kernels::QuantPanels xq = kernels::quantize_panels(
-            x.data(), xparams,
-            kernels::make_panel_plan(st.batch, in_features_, tiles.tp,
-                                     tiles.tk),
-            st.ws);
-        st.xpan = xq.panels;
-        st.xq = kernels::QuantView{nullptr, xq.in_range, xparams,
-                                   st.batch * in_features_};
-
-        kernels::BlockedGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = wparams.scale;
-        args.scale_x = xparams.scale;
-        args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        kernels::lut_forward_blocked(args, bias.value.data(), y.data(), st.ws);
-    } else {
-        st.xq = kernels::quantize_into(x.data(), st.batch * in_features_,
-                                       xparams, st.ws);
-
-        kernels::LutGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = wparams.scale;
-        args.scale_x = xparams.scale;
-        args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        kernels::lut_forward(args, bias.value.data(), y.data(), st.ws);
-    }
+    kernels::lut_forward_blocked(gemm_args(st), bias.value.data(), y.data(),
+                                 st.ws);
     return y;
 }
 
@@ -466,39 +384,10 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
         for (std::int64_t i = b; i < e; ++i) gw_raw[i] = 0.0f;
     });
     Tensor gx(Shape{st.batch, in_features_}); // zero-initialized
-    if (st.blocked) {
-        kernels::BlockedGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = st.wq.params.scale;
-        args.scale_x = scale_x;
-        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        kernels::lut_backward_blocked(args, gy.data(),
-                                      mult_.grad->dw_table().data(),
-                                      mult_.grad->dx_table().data(), gw_raw,
-                                      gx.data(), st.ws);
-    } else {
-        kernels::LutGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = st.wq.params.scale;
-        args.scale_x = scale_x;
-        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        kernels::lut_backward(args, gy.data(), mult_.grad->dw_table().data(),
-                              mult_.grad->dx_table().data(), gw_raw, gx.data());
-    }
+    kernels::lut_backward_blocked(gemm_args(st), gy.data(),
+                                  mult_.grad->dw_table().data(),
+                                  mult_.grad->dx_table().data(), gw_raw, gx.data(),
+                                  st.ws);
 
     float* wg = ctx.grad(weight).data();
     runtime::parallel_for(0, nw,

@@ -16,14 +16,16 @@
 /// is mathematically identical to a fake-quantized float convolution; the
 /// test suite pins this equivalence.
 ///
-/// Per-invocation state (geometry, im2col columns, the scratch arena with
-/// quantized codes/masks) lives in the caller's nn::Context; the layer
+/// Per-invocation state (geometry, float-mode im2col columns, the scratch
+/// arena with quantized code panels and masks) lives in the caller's
+/// nn::Context; the layer
 /// itself keeps only weights, the multiplier config, and the activation
 /// observer (persistent calibration state).
 #pragma once
 
 #include "appmult/appmult.hpp"
 #include "core/grad_lut.hpp"
+#include "kernels/lut_kernels.hpp"
 #include "kernels/quantize.hpp"
 #include "kernels/workspace.hpp"
 #include "nn/module.hpp"
@@ -99,25 +101,21 @@ public:
     [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const;
 
 private:
-    // Per-invocation state (nn::Context slot). Quant-mode scratch (codes,
-    // masks, columns, raw gradients) lives in the embedded workspace arena:
+    // Per-invocation state (nn::Context slot). Quant-mode scratch (code
+    // panels, masks, raw gradients) lives in the embedded workspace arena:
     // reset at the start of each quantized forward, buffers remain valid
     // through the matching backward (DESIGN.md §10/§11).
     struct State {
         tensor::ConvGeom geom;
         tensor::Tensor cols;                  // float mode: (P, patch)
         kernels::Workspace ws;                // quant mode scratch arena
-        kernels::QuantView xq;                // quant mode: codes of cols
+        kernels::QuantView xq;                // quant mode: mask + params of
+                                              // the activations (codes null)
         kernels::QuantView wq;                // quant mode: codes of weights
         float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
         std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros (ws-backed)
-        // Blocked layout (default): codes live pre-tiled in panels, the
-        // activation panels produced by the fused im2col+quantize packer
-        // (xq.codes stays null; the row-major masks/params remain in xq for
-        // the backward epilogues). Captured per forward from layout_mode().
-        bool blocked = false;
-        kernels::WeightPanels wpan;
-        kernels::ActPanels xpan;
+        kernels::WeightPanels wpan;           // quant mode: pre-shifted weights
+        kernels::ActPanels xpan;              // quant mode: fused im2col panels
     };
 
     tensor::Tensor forward_float(const tensor::Tensor& x, State& st,
@@ -128,6 +126,8 @@ private:
                                   nn::Context& ctx);
     tensor::Tensor backward_quant(const tensor::Tensor& gy, State& st,
                                   nn::Context& ctx);
+    /// LUT-GEMM operands of the quantized forward captured in \p st.
+    [[nodiscard]] kernels::BlockedGemmArgs gemm_args(const State& st) const;
 
     std::int64_t in_ch_, out_ch_, kernel_, stride_, pad_;
     ComputeMode mode_ = ComputeMode::kFloat;
@@ -168,13 +168,14 @@ private:
     struct State {
         tensor::Tensor x;       // float mode cache
         kernels::Workspace ws;  // quant mode scratch arena (DESIGN.md §10)
-        kernels::QuantView xq;
+        kernels::QuantView xq; // mask + params (codes live in xpan)
         kernels::QuantView wq;
         std::int64_t batch = 0;
-        bool blocked = false;   // see ApproxConv2d::State
         kernels::WeightPanels wpan;
         kernels::ActPanels xpan;
     };
+
+    [[nodiscard]] kernels::BlockedGemmArgs gemm_args(const State& st) const;
 
     std::int64_t in_features_, out_features_;
     ComputeMode mode_ = ComputeMode::kFloat;

@@ -1,7 +1,8 @@
 #include "approx/depthwise.hpp"
 
 #include "kernels/im2col.hpp"
-#include "kernels/lut_kernels.hpp"
+#include "kernels/quantize.hpp"
+#include "kernels/tuning.hpp"
 #include "runtime/parallel.hpp"
 
 #include <algorithm>
@@ -128,46 +129,37 @@ Tensor DepthwiseConv2d::forward_quant(const Tensor& x, State& st,
     st.xq = kernels::quantize_into(st.cols, channels_ * positions * patch, xparams,
                                    st.ws);
 
-    // Each channel is an independent O = 1 LUT GEMM over its column block.
-    // Scratch is preallocated per chunk (channels here, grain 1) so the
-    // concurrent chunks never touch the single-threaded workspace.
-    const kernels::TileConfig tile;
-    const std::int64_t chunks =
-        runtime::chunk_count(0, channels_, tune::kGrainChannel);
-    std::int64_t* sum_w_buf = st.ws.alloc<std::int64_t>(chunks);
-    std::int64_t* sum_x_buf = st.ws.alloc<std::int64_t>(chunks * positions);
-    std::int64_t* acc_buf = st.ws.alloc<std::int64_t>(chunks * tile.acc_elems());
-    float* po_buf = st.ws.alloc<float>(chunks * positions);
-
+    // Each channel is an independent O = 1 LUT GEMM over its column block:
+    // an int64 LUT sum, the Eq. (8) zero-point correction, then the same
+    // float epilogue expression as kernels::lut_forward_blocked. Channels
+    // write disjoint output planes.
+    const std::int32_t* lut = mult_.lut->table().data();
+    const auto zw = static_cast<std::int64_t>(wparams.zero_point);
+    const auto zx = static_cast<std::int64_t>(xparams.zero_point);
+    const float ss = wparams.scale * xparams.scale;
     const std::int64_t oh = st.geom.out_h(), ow = st.geom.out_w();
     const std::int64_t spatial = oh * ow;
     Tensor y(Shape{st.batch, channels_, oh, ow});
-    runtime::parallel_for_chunks(0, channels_, tune::kGrainChannel,
-                                 [&](std::int64_t cb, std::int64_t ce,
-                                     std::size_t chunk) {
-        const auto ci = static_cast<std::int64_t>(chunk);
-        kernels::LutGemmScratch scratch{sum_w_buf + ci,
-                                        sum_x_buf + ci * positions,
-                                        acc_buf + ci * tile.acc_elems()};
-        float* po = po_buf + ci * positions;
+    runtime::parallel_for(0, channels_, tune::kGrainChannel,
+                          [&](std::int64_t cb, std::int64_t ce) {
         for (std::int64_t c = cb; c < ce; ++c) {
-            kernels::LutGemmArgs args;
-            args.bits = bits;
-            args.lut = mult_.lut->table().data();
-            args.wq = st.wq.codes + c * patch;
-            args.xq = st.xq.codes + c * positions * patch;
-            args.o = 1;
-            args.p = positions;
-            args.k = patch;
-            args.scale_w = wparams.scale;
-            args.scale_x = xparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-            args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-            kernels::lut_forward_serial(args, bias.value.data() + c, po, tile,
-                                        scratch);
+            const std::uint16_t* wrow = st.wq.codes + c * patch;
+            std::int64_t sum_w = 0;
+            for (std::int64_t k = 0; k < patch; ++k) sum_w += wrow[k];
             for (std::int64_t p = 0; p < positions; ++p) {
+                const std::uint16_t* xrow =
+                    st.xq.codes + (c * positions + p) * patch;
+                std::int64_t acc = 0, sum_x = 0;
+                for (std::int64_t k = 0; k < patch; ++k) {
+                    acc += lut[(static_cast<std::uint32_t>(wrow[k]) << bits) |
+                               xrow[k]];
+                    sum_x += xrow[k];
+                }
+                const std::int64_t corrected =
+                    acc - zx * sum_w - zw * sum_x + patch * zw * zx;
                 const std::int64_t n = p / spatial, s = p % spatial;
-                y[(n * channels_ + c) * spatial + s] = po[p];
+                y[(n * channels_ + c) * spatial + s] =
+                    ss * static_cast<float>(corrected) + bias.value[c];
             }
         }
     });
@@ -196,7 +188,7 @@ Tensor DepthwiseConv2d::backward(const Tensor& gy, nn::Context& ctx) {
     Tensor& bgrad = ctx.grad(bias);
 
     // The gradient loop stays fused (gw / bias / dcols in one pass) rather
-    // than re-seating on the generic lut_backward: the generic kernel skips
+    // than re-seating on the generic lut_backward_blocked: that kernel skips
     // zero upstream gradients, while this loop writes drow[k] even for
     // g == 0 — folding through col2im, that distinction can surface as a
     // signed-zero difference, and the golden tests pin bitwise identity.

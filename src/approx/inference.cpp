@@ -3,6 +3,7 @@
 #include "kernels/im2col.hpp"
 #include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "kernels/tuning.hpp"
 #include "nn/loss.hpp"
 #include "runtime/parallel.hpp"
 
@@ -15,8 +16,6 @@
 #include <string>
 
 namespace amret::approx {
-
-namespace tune = kernels::tune;
 
 // ---------------------------------------------------------------- ops ----
 
@@ -58,12 +57,9 @@ struct ConvOp final : IntInferenceEngine::Op {
     float in_scale = 1.0f; // fixed at finalize from the previous op
     std::int32_t in_zero = 0;
 
-    // Blocked layout (the default; set by the engine before finalize()).
-    // finalize() re-packs the same wq codes into pre-shifted panels once;
-    // run() then fuses im2col straight into activation panel production and
-    // feeds lut_gemm_blocked_tile. wq_panels stays empty in scalar mode,
-    // which keeps the row-major oracle path.
-    kernels::LayoutMode layout = kernels::LayoutMode::kBlocked;
+    // finalize() packs the wq codes into pre-shifted panels once; run() then
+    // fuses im2col straight into activation panel production and feeds
+    // lut_gemm_blocked_tile.
     kernels::PanelPlan wplan;
     std::vector<std::uint32_t> wq_panels;
 
@@ -139,24 +135,22 @@ struct ConvOp final : IntInferenceEngine::Op {
                 static_cast<std::int32_t>(bias_raw[static_cast<std::size_t>(o)]);
         }
 
-        // Blocked mode: re-pack the codes into panels once at compile time.
-        // The packer also emits the Eq. (8) header; it must reproduce the
-        // hoisted sum_w above exactly (the analyzer re-checks this on every
-        // certificate via "panel-sum-mismatch").
-        if (layout != kernels::LayoutMode::kScalar) {
-            const kernels::Tuning& tiles = kernels::Tuning::current();
-            wplan = kernels::make_panel_plan(out_ch, patch, tiles.to, tiles.tk);
-            wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
-            std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
-            kernels::pack_weight_panels_into(wq.data(), bits, wplan,
-                                             wq_panels.data(), header.data());
-            assert(header == sum_w);
-        }
+        // Pack the codes into panels once at compile time. The packer also
+        // emits the Eq. (8) header; it must reproduce the hoisted sum_w above
+        // exactly (the analyzer re-checks this on every certificate via
+        // "panel-sum-mismatch").
+        const kernels::Tuning& tiles = kernels::Tuning::current();
+        wplan = kernels::make_panel_plan(out_ch, patch, tiles.to, tiles.tk);
+        wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
+        std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
+        kernels::pack_weight_panels_into(wq.data(), bits, wplan,
+                                         wq_panels.data(), header.data());
+        assert(header == sum_w);
     }
 
-    /// The requantization epilogue shared (byte-for-byte) by the scalar and
-    /// blocked paths. Pure integer arithmetic on the exact Eq. (8) corrected
-    /// accumulator, so block order cannot change the result.
+    /// The requantization epilogue. Pure integer arithmetic on the exact
+    /// Eq. (8) corrected accumulator, so block order cannot change the
+    /// result.
     [[nodiscard]] std::uint8_t requantize(std::int64_t oo,
                                           std::int64_t corrected) const {
         const std::int64_t a = corrected + bias_int[static_cast<std::size_t>(oo)];
@@ -170,111 +164,50 @@ struct ConvOp final : IntInferenceEngine::Op {
         tensor::ConvGeom geom{x.n, in_ch, x.h, x.w, kernel, stride, pad};
         const std::int64_t patch = geom.patch();
         const std::int64_t positions = geom.positions();
-        const std::int64_t oh = geom.out_h(), ow = geom.out_w();
-        const std::int64_t spatial = oh * ow;
 
         QTensor y;
         y.n = x.n;
         y.c = out_ch;
-        y.h = oh;
-        y.w = ow;
+        y.h = geom.out_h();
+        y.w = geom.out_w();
         y.scale = out_scale;
         y.zero = out_zero;
-        y.layout = x.layout; // the engine keeps one layout between ops
         y.data = ws.alloc<std::uint8_t>(y.numel());
-        const bool nhwc = x.layout == kernels::ActivationLayout::kNHWC;
 
-        if (!wq_panels.empty()) {
-            // Blocked path: im2col is fused into activation panel production
-            // (no (positions x patch) column buffer), the weight panels were
-            // packed at finalize(), and the Eq. (8) row sums come from the
-            // panel headers. Integer epilogue => bitwise-identical to the
-            // scalar oracle below.
-            const kernels::Tuning& tiles = kernels::Tuning::current();
-            const kernels::PanelPlan xplan =
-                kernels::make_panel_plan(positions, patch, tiles.tp, wplan.tk);
-            const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
-                x.data, geom, x.layout, static_cast<std::uint16_t>(x.zero),
-                xplan, ws, bits);
+        // im2col is fused into activation panel production (no (positions x
+        // patch) column buffer), the weight panels were packed at
+        // finalize(), and the Eq. (8) row sums come from the panel headers.
+        const kernels::Tuning& tiles = kernels::Tuning::current();
+        const kernels::PanelPlan xplan =
+            kernels::make_panel_plan(positions, patch, tiles.tp, wplan.tk);
+        const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
+            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, bits);
 
-            kernels::BlockedGemmArgs args;
-            args.bits = bits;
-            args.lut = lut->table().data();
-            args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data()};
-            args.x = xpan;
-            args.o = out_ch;
-            args.p = positions;
-            args.k = patch;
-            args.zero_w = zero_w;
-            args.zero_x = x.zero;
-
-            const std::int64_t nblocks = xplan.row_blocks();
-            const std::int64_t acc_elems = xplan.tr * wplan.tr;
-            const std::int64_t grain = runtime::grain_for(nblocks, 1);
-            const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
-            std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
-            runtime::parallel_for_chunks(0, nblocks, grain,
-                                         [&](std::int64_t bb, std::int64_t be,
-                                             std::size_t chunk) {
-                kernels::lut_gemm_blocked_tile(
-                    args, bb, be,
-                    acc + static_cast<std::int64_t>(chunk) * acc_elems,
-                    [&](std::int64_t pp, std::int64_t oo,
-                        std::int64_t corrected) {
-                        const std::uint8_t v = requantize(oo, corrected);
-                        if (nhwc) {
-                            // Position-major: the blocked epilogue emits oo
-                            // at unit stride within a row, writing one cache
-                            // line per position.
-                            y.data[pp * out_ch + oo] = v;
-                        } else {
-                            const std::int64_t n = pp / spatial;
-                            y.data[(n * out_ch + oo) * spatial + pp % spatial] = v;
-                        }
-                    });
-            });
-            return y;
-        }
-
-        // Scalar oracle: uint8 im2col with zero-point padding (exact
-        // hardware behaviour), then the row-major tiled LUT-GEMM.
-        assert(!nhwc && "scalar mode runs NCHW only");
-        std::uint16_t* cols = ws.alloc<std::uint16_t>(positions * patch);
-        kernels::im2col_u8(x.data, geom, static_cast<std::uint16_t>(x.zero),
-                           cols);
-
-        kernels::LutGemmArgs args;
+        kernels::BlockedGemmArgs args;
         args.bits = bits;
         args.lut = lut->table().data();
-        args.wq = wq.data();
-        args.xq = cols;
+        args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data()};
+        args.x = xpan;
         args.o = out_ch;
         args.p = positions;
         args.k = patch;
         args.zero_w = zero_w;
         args.zero_x = x.zero;
-        args.sum_w = sum_w.data(); // hoisted at finalize()
 
-        // Tiled integer GEMM with the requantization epilogue. Every value
-        // in the epilogue is integer arithmetic, so tiling/blocking cannot
-        // change results; each position row writes disjoint y elements.
-        const kernels::TileConfig tile;
-        std::int64_t* sum_x = ws.alloc<std::int64_t>(positions);
-        const std::int64_t grain =
-            runtime::grain_for(positions, tune::kGrainGemmRows);
-        const std::int64_t chunks = runtime::chunk_count(0, positions, grain);
-        std::int64_t* acc = ws.alloc<std::int64_t>(chunks * tile.acc_elems());
-        runtime::parallel_for_chunks(0, positions, grain,
-                                     [&](std::int64_t pb, std::int64_t pe,
+        const std::int64_t nblocks = xplan.row_blocks();
+        const std::int64_t acc_elems = xplan.tr * wplan.tr;
+        const std::int64_t grain = runtime::grain_for(nblocks, 1);
+        const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
+        std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
+        runtime::parallel_for_chunks(0, nblocks, grain,
+                                     [&](std::int64_t bb, std::int64_t be,
                                          std::size_t chunk) {
-            kernels::lut_row_sums_x(args, pb, pe, sum_x);
-            kernels::lut_gemm_tile(
-                args, pb, pe, args.sum_w, sum_x, tile,
-                acc + static_cast<std::int64_t>(chunk) * tile.acc_elems(),
+            // Position-major NHWC output: the epilogue emits oo at unit
+            // stride within a row, writing one cache line per position.
+            kernels::lut_gemm_blocked_tile(
+                args, bb, be, acc + static_cast<std::int64_t>(chunk) * acc_elems,
                 [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-                    const std::int64_t n = pp / spatial, s = pp % spatial;
-                    y.data[(n * out_ch + oo) * spatial + s] =
-                        requantize(oo, corrected);
+                    y.data[pp * out_ch + oo] = requantize(oo, corrected);
                 });
         });
         return y;
@@ -298,42 +231,24 @@ struct MaxPoolOp final : IntInferenceEngine::Op {
         y.w = x.w / kernel;
         y.scale = x.scale;
         y.zero = x.zero;
-        y.layout = x.layout;
         y.data = ws.alloc<std::uint8_t>(y.numel());
-        if (x.layout == kernels::ActivationLayout::kNHWC) {
-            // Channel-interleaved: the window max reduces x.c adjacent lanes
-            // at unit stride per tap (taking max over uint8 is order-free).
-            for (std::int64_t n = 0; n < x.n; ++n)
-                for (std::int64_t oy = 0; oy < y.h; ++oy)
-                    for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                        std::uint8_t* py =
-                            y.data + ((n * y.h + oy) * y.w + ox) * y.c;
-                        for (std::int64_t c = 0; c < x.c; ++c) py[c] = 0;
-                        for (std::int64_t ky = 0; ky < kernel; ++ky)
-                            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                                const std::uint8_t* px =
-                                    x.data + ((n * x.h + oy * kernel + ky) * x.w +
-                                              ox * kernel + kx) *
-                                                 x.c;
-                                for (std::int64_t c = 0; c < x.c; ++c)
-                                    py[c] = std::max(py[c], px[c]);
-                            }
-                    }
-            return y;
-        }
-        for (std::int64_t i = 0; i < x.n * x.c; ++i) {
-            const std::uint8_t* px = x.data + i * x.h * x.w;
-            std::uint8_t* py = y.data + i * y.h * y.w;
+        // Channel-interleaved: the window max reduces x.c adjacent lanes at
+        // unit stride per tap (taking max over uint8 is order-free).
+        for (std::int64_t n = 0; n < x.n; ++n)
             for (std::int64_t oy = 0; oy < y.h; ++oy)
                 for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                    std::uint8_t best = 0;
+                    std::uint8_t* py = y.data + ((n * y.h + oy) * y.w + ox) * y.c;
+                    for (std::int64_t c = 0; c < x.c; ++c) py[c] = 0;
                     for (std::int64_t ky = 0; ky < kernel; ++ky)
-                        for (std::int64_t kx = 0; kx < kernel; ++kx)
-                            best = std::max(
-                                best, px[(oy * kernel + ky) * x.w + ox * kernel + kx]);
-                    py[oy * y.w + ox] = best;
+                        for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                            const std::uint8_t* px =
+                                x.data +
+                                ((n * x.h + oy * kernel + ky) * x.w + ox * kernel + kx) *
+                                    x.c;
+                            for (std::int64_t c = 0; c < x.c; ++c)
+                                py[c] = std::max(py[c], px[c]);
+                        }
                 }
-        }
         return y;
     }
 };
@@ -360,44 +275,26 @@ struct AvgPoolOp final : IntInferenceEngine::Op {
         y.w = global ? 1 : x.w / kernel;
         y.scale = x.scale;
         y.zero = x.zero;
-        y.layout = x.layout;
         y.data = ws.alloc<std::uint8_t>(y.numel());
         const std::int64_t kh = global ? x.h : kernel;
         const std::int64_t kw = global ? x.w : kernel;
         const std::int64_t window = kh * kw;
-        if (x.layout == kernels::ActivationLayout::kNHWC) {
-            // Per-channel integer sums are order-free, so interleaved
-            // accumulation matches the planar loop bit-for-bit.
-            for (std::int64_t n = 0; n < x.n; ++n)
-                for (std::int64_t oy = 0; oy < y.h; ++oy)
-                    for (std::int64_t ox = 0; ox < y.w; ++ox)
-                        for (std::int64_t c = 0; c < x.c; ++c) {
-                            std::int64_t acc = 0;
-                            for (std::int64_t ky = 0; ky < kh; ++ky)
-                                for (std::int64_t kx = 0; kx < kw; ++kx)
-                                    acc += x.data[((n * x.h + oy * kh + ky) * x.w +
-                                                   ox * kw + kx) *
-                                                      x.c +
-                                                  c];
-                            y.data[((n * y.h + oy) * y.w + ox) * y.c + c] =
-                                static_cast<std::uint8_t>(std::clamp<std::int64_t>(
-                                    (acc + window / 2) / window, 0, 255));
-                        }
-            return y;
-        }
-        for (std::int64_t i = 0; i < x.n * x.c; ++i) {
-            const std::uint8_t* px = x.data + i * x.h * x.w;
-            std::uint8_t* py = y.data + i * y.h * y.w;
+        // Per-channel integer sums over the window (order-free).
+        for (std::int64_t n = 0; n < x.n; ++n)
             for (std::int64_t oy = 0; oy < y.h; ++oy)
-                for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                    std::int64_t acc = 0;
-                    for (std::int64_t ky = 0; ky < kh; ++ky)
-                        for (std::int64_t kx = 0; kx < kw; ++kx)
-                            acc += px[(oy * kh + ky) * x.w + ox * kw + kx];
-                    py[oy * y.w + ox] = static_cast<std::uint8_t>(
-                        std::clamp<std::int64_t>((acc + window / 2) / window, 0, 255));
-                }
-        }
+                for (std::int64_t ox = 0; ox < y.w; ++ox)
+                    for (std::int64_t c = 0; c < x.c; ++c) {
+                        std::int64_t acc = 0;
+                        for (std::int64_t ky = 0; ky < kh; ++ky)
+                            for (std::int64_t kx = 0; kx < kw; ++kx)
+                                acc += x.data[((n * x.h + oy * kh + ky) * x.w +
+                                               ox * kw + kx) *
+                                                  x.c +
+                                              c];
+                        y.data[((n * y.h + oy) * y.w + ox) * y.c + c] =
+                            static_cast<std::uint8_t>(std::clamp<std::int64_t>(
+                                (acc + window / 2) / window, 0, 255));
+                    }
         return y;
     }
 };
@@ -419,10 +316,6 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
                                        const data::Dataset& calibration,
                                        std::int64_t calib_samples,
                                        SafetyPolicy safety) {
-    // The kernel data layout is captured once here, so one engine stays
-    // internally consistent even if the process-wide mode changes later.
-    layout_ = kernels::layout_mode();
-
     // --- 1. Fuse and collect ops ------------------------------------------
     std::vector<std::pair<tensor::Tensor, tensor::Tensor>> head_linears;
     std::vector<bool> head_relu;
@@ -434,7 +327,6 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
             if (in_head)
                 throw std::invalid_argument("conv after classifier head unsupported");
             auto op = std::make_unique<ConvOp>();
-            op->layout = layout_;
             op->in_ch = conv->in_channels();
             op->out_ch = conv->out_channels();
             op->kernel = conv->kernel();
@@ -616,13 +508,11 @@ analysis::GraphDesc IntInferenceEngine::describe() const {
             d.conv.requant = conv->requant;
             d.conv.out_zero = conv->out_zero;
             d.conv.out_qmax = conv->out_qmax;
-            if (!conv->wq_panels.empty()) {
-                // Digest-excluded derived data; the analyzer cross-checks the
-                // packing so the certificate covers the blocked path too.
-                d.conv.panel_tr = conv->wplan.tr;
-                d.conv.panel_tk = conv->wplan.tk;
-                d.conv.wq_panels = conv->wq_panels;
-            }
+            // Digest-excluded derived data; the analyzer cross-checks the
+            // packing so the certificate covers the panels the kernels read.
+            d.conv.panel_tr = conv->wplan.tr;
+            d.conv.panel_tk = conv->wplan.tk;
+            d.conv.wq_panels = conv->wq_panels;
         } else if (const auto* avg = dynamic_cast<const AvgPoolOp*>(op.get())) {
             d.kind = analysis::OpDesc::Kind::kPool;
             d.label = "pool" + std::to_string(pool_index++);
@@ -655,21 +545,16 @@ QTensor IntInferenceEngine::quantize_input(const tensor::Tensor& images,
     q.zero = input_zero_;
     q.data = ws.alloc<std::uint8_t>(q.numel());
     const float qmax = static_cast<float>((1u << act_bits_) - 1);
-    const bool nhwc = layout_ == kernels::LayoutMode::kBlockedNhwc;
-    if (nhwc) q.layout = kernels::ActivationLayout::kNHWC;
     const std::int64_t spatial = q.h * q.w;
     runtime::parallel_for(0, images.numel(),
                           runtime::grain_for(images.numel(), 1024),
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) {
-            // i indexes the destination; input images are always NCHW float.
-            std::int64_t src = i;
-            if (nhwc) {
-                const std::int64_t c = i % q.c;
-                const std::int64_t s = (i / q.c) % spatial;
-                const std::int64_t n = i / (q.c * spatial);
-                src = (n * q.c + c) * spatial + s;
-            }
+            // i indexes the NHWC destination; input images are NCHW float.
+            const std::int64_t c = i % q.c;
+            const std::int64_t s = (i / q.c) % spatial;
+            const std::int64_t n = i / (q.c * spatial);
+            const std::int64_t src = (n * q.c + c) * spatial + s;
             const float v = std::nearbyint(images[src] / input_scale_ +
                                            static_cast<float>(input_zero_));
             q.data[i] = static_cast<std::uint8_t>(std::clamp(v, 0.0f, qmax));
@@ -703,25 +588,18 @@ void IntInferenceEngine::forward_into(const tensor::Tensor& images,
 
     // Dequantize and run the float head. Each output row is an independent
     // fixed-order dot-product chain, so batched logits match single-sample
-    // calls bitwise. The flattened head input is always channel-major (the
-    // training-side Flatten order), so an NHWC-interleaved final activation
-    // is transposed back here at the integer/float boundary.
+    // calls bitwise. The flattened head input is channel-major (the
+    // training-side Flatten order), so the NHWC final activation is
+    // transposed back here at the integer/float boundary.
     std::int64_t cur_dim = q.c * q.h * q.w;
     float* cur = ws.alloc<float>(q.n * cur_dim);
-    if (q.layout == kernels::ActivationLayout::kNHWC) {
-        const std::int64_t spatial = q.h * q.w;
-        for (std::int64_t n = 0; n < q.n; ++n)
-            for (std::int64_t s = 0; s < spatial; ++s)
-                for (std::int64_t c = 0; c < q.c; ++c)
-                    cur[(n * q.c + c) * spatial + s] =
-                        q.scale *
-                        (static_cast<float>(q.data[(n * spatial + s) * q.c + c]) -
-                         static_cast<float>(q.zero));
-    } else {
-        for (std::int64_t i = 0; i < q.n * cur_dim; ++i)
-            cur[i] = q.scale * (static_cast<float>(q.data[i]) -
-                                static_cast<float>(q.zero));
-    }
+    const std::int64_t spatial = q.h * q.w;
+    for (std::int64_t n = 0; n < q.n; ++n)
+        for (std::int64_t s = 0; s < spatial; ++s)
+            for (std::int64_t c = 0; c < q.c; ++c)
+                cur[(n * q.c + c) * spatial + s] =
+                    q.scale * (static_cast<float>(q.data[(n * spatial + s) * q.c + c]) -
+                               static_cast<float>(q.zero));
 
     for (std::size_t li = 0; li < head_chain_.size(); ++li) {
         const HeadLayer& layer = head_chain_[li];

@@ -23,8 +23,6 @@
 #include "analysis/graph.hpp"
 #include "approx/approx_conv.hpp"
 #include "data/dataset.hpp"
-#include "kernels/layout.hpp"
-#include "kernels/tuning.hpp"
 #include "kernels/workspace.hpp"
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
@@ -49,17 +47,15 @@ SafetyPolicy safety_policy_from_env();
 /// A uint8 activation tensor with its affine interpretation. The storage is
 /// a view into a kernels::Workspace arena (valid until that workspace's next
 /// reset/trim), so chaining ops through one arena performs no heap
-/// allocation in steady state. The element order is \p layout: planar NCHW
-/// (the default, and the scalar/blocked modes' inter-op format) or
-/// channel-interleaved NHWC (the blocked-nhwc mode, where the conv epilogue
-/// writes position-major at unit stride and the fused im2col packer reads
-/// channel-adjacent taps from one cache line).
+/// allocation in steady state. Elements are channel-interleaved NHWC
+/// (((n*h + y)*w + x)*c + ch): the conv epilogue writes position-major at
+/// unit stride and the fused im2col packer reads channel-adjacent taps from
+/// one cache line.
 struct QTensor {
     std::uint8_t* data = nullptr; ///< workspace-backed, not owned
     std::int64_t n = 0, c = 0, h = 0, w = 0; ///< logical dims (h=w=1 for flat)
     float scale = 1.0f;
     std::int32_t zero = 0;
-    kernels::ActivationLayout layout = kernels::ActivationLayout::kNCHW;
 
     [[nodiscard]] std::int64_t numel() const { return n * c * h * w; }
 };
@@ -134,10 +130,6 @@ private:
     unsigned act_bits_ = 8; ///< network-wide activation width (min LUT width)
     float input_scale_ = 1.0f;
     std::int32_t input_zero_ = 0;
-    /// Kernel data layout, captured once at construction from layout_mode():
-    /// scalar row-major (the oracle), blocked panels with NCHW between ops
-    /// (default), or blocked panels with NHWC-interleaved activations.
-    kernels::LayoutMode layout_ = kernels::LayoutMode::kBlocked;
     /// Layout-plan key for workspace-arena high-water tracking (Workspace::
     /// begin): a hash of the compiled graph digest, so a serve worker
     /// alternating between engines keeps each one's working set accounted.

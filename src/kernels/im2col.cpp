@@ -19,26 +19,25 @@ namespace {
 /// at the first channel to extract, \p ch_stride is the element stride
 /// between extracted channels and \p channels how many to extract — so the
 /// same core serves full im2col (all channels) and the depthwise
-/// single-channel case. Out-of-image taps read \p pad_value.
-template <typename TIn, typename TOut>
-void unfold_image(const TIn* px, std::int64_t channels, std::int64_t ch_stride,
-                  const ConvGeom& geom, TOut pad_value, TOut* rows) {
+/// single-channel case. Out-of-image taps read 0.
+void unfold_image(const float* px, std::int64_t channels, std::int64_t ch_stride,
+                  const ConvGeom& geom, float* rows) {
     const std::int64_t oh = geom.out_h(), ow = geom.out_w();
     const std::int64_t patch = channels * geom.kernel * geom.kernel;
     for (std::int64_t oy = 0; oy < oh; ++oy) {
         for (std::int64_t ox = 0; ox < ow; ++ox) {
-            TOut* row = rows + (oy * ow + ox) * patch;
+            float* row = rows + (oy * ow + ox) * patch;
             std::int64_t idx = 0;
             for (std::int64_t c = 0; c < channels; ++c) {
-                const TIn* pc = px + c * ch_stride;
+                const float* pc = px + c * ch_stride;
                 for (std::int64_t ky = 0; ky < geom.kernel; ++ky) {
                     const std::int64_t iy = oy * geom.stride + ky - geom.pad;
                     for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++idx) {
                         const std::int64_t ix = ox * geom.stride + kx - geom.pad;
                         row[idx] = (iy >= 0 && iy < geom.in_h && ix >= 0 &&
                                     ix < geom.in_w)
-                                       ? static_cast<TOut>(pc[iy * geom.in_w + ix])
-                                       : pad_value;
+                                       ? pc[iy * geom.in_w + ix]
+                                       : 0.0f;
                     }
                 }
             }
@@ -57,7 +56,7 @@ void im2col(const float* x, const ConvGeom& geom, float* cols) {
                           [&](std::int64_t nb, std::int64_t ne) {
         for (std::int64_t n = nb; n < ne; ++n)
             unfold_image(x + n * image, geom.in_ch, geom.in_h * geom.in_w, geom,
-                         0.0f, cols + n * rows_per_image * geom.patch());
+                         cols + n * rows_per_image * geom.patch());
     });
 }
 
@@ -77,22 +76,8 @@ void im2col_channel(const float* x, std::int64_t total_ch, std::int64_t channel,
     const std::int64_t patch = geom.kernel * geom.kernel;
     for (std::int64_t n = 0; n < geom.batch; ++n) {
         const float* px = x + (n * total_ch + channel) * geom.in_h * geom.in_w;
-        unfold_image(px, 1, 0, geom, 0.0f, cols + n * rows_per_image * patch);
+        unfold_image(px, 1, 0, geom, cols + n * rows_per_image * patch);
     }
-}
-
-void im2col_u8(const std::uint8_t* x, const ConvGeom& geom,
-               std::uint16_t zero_point, std::uint16_t* cols) {
-    AMRET_OBS_SPAN("kernels.im2col");
-    AMRET_OBS_COUNT("kernels.im2col.images", geom.batch);
-    const std::int64_t image = geom.in_ch * geom.in_h * geom.in_w;
-    const std::int64_t rows_per_image = geom.out_h() * geom.out_w();
-    runtime::parallel_for(0, geom.batch, tune::kGrainChannel,
-                          [&](std::int64_t nb, std::int64_t ne) {
-        for (std::int64_t n = nb; n < ne; ++n)
-            unfold_image(x + n * image, geom.in_ch, geom.in_h * geom.in_w, geom,
-                         zero_point, cols + n * rows_per_image * geom.patch());
-    });
 }
 
 void col2im(const float* cols, const ConvGeom& geom, float* x) {

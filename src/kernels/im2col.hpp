@@ -1,10 +1,10 @@
 /// \file im2col.hpp
 /// \brief The single im2col/col2im planner of the kernel layer.
 ///
-/// One templated core replaces the three copies that used to live in
-/// tensor/tensor.cpp (float, zero padding), approx/inference.cpp (uint8 ->
-/// uint16 with zero-point padding) and approx/depthwise.cpp (per-channel
-/// float). All variants unfold an NCHW input into a (positions, patch)
+/// One core serves the full float im2col (float conv and pretraining) and
+/// the per-channel depthwise variant; the quantized paths fuse im2col into
+/// panel packing instead (layout.hpp). Both variants unfold an NCHW input
+/// into a (positions, patch)
 /// row-major matrix whose rows are ordered c-major then kernel row/col,
 /// matching the (O, C, K, K) weight layout. Batch images fill disjoint row
 /// blocks, so the planner parallelizes over images (element values are plain
@@ -29,11 +29,6 @@ tensor::Tensor im2col(const tensor::Tensor& x, const tensor::ConvGeom& geom);
 /// in_ch == 1) into cols, a (geom.positions(), kernel*kernel) block.
 void im2col_channel(const float* x, std::int64_t total_ch, std::int64_t channel,
                     const tensor::ConvGeom& geom, float* cols);
-
-/// uint8 -> uint16 im2col with zero-point padding (exact integer-hardware
-/// behaviour): out-of-image taps read as \p zero_point.
-void im2col_u8(const std::uint8_t* x, const tensor::ConvGeom& geom,
-               std::uint16_t zero_point, std::uint16_t* cols);
 
 /// Transpose of im2col: folds (positions, patch) gradients back onto the
 /// input feature map, accumulating overlapping taps. \p x (batch * in_ch *

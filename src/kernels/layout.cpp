@@ -233,7 +233,6 @@ void unpack_activation_panels(const ActPanels& x, std::uint16_t* xq_out) {
 
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
-                                ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
                                 Workspace& ws, unsigned bits) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
@@ -246,7 +245,6 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t oh = geom.out_h(), ow = geom.out_w();
     const std::int64_t spatial = oh * ow;
-    const std::int64_t chw = geom.in_ch * geom.in_h * geom.in_w;
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
@@ -258,12 +256,9 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
             const std::int64_t ix = ox * geom.stride + taps.kx[t] - geom.pad;
             if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
                 return zero_point;
-            const std::int64_t c = taps.c[t];
-            const std::int64_t at =
-                layout == ActivationLayout::kNCHW
-                    ? n * chw + (c * geom.in_h + iy) * geom.in_w + ix
-                    : ((n * geom.in_h + iy) * geom.in_w + ix) * geom.in_ch + c;
-            return static_cast<std::uint16_t>(x[at]);
+            return static_cast<std::uint16_t>(
+                x[((n * geom.in_h + iy) * geom.in_w + ix) * geom.in_ch +
+                  taps.c[t]]);
         });
     });
     out.codes = codes;

@@ -1,11 +1,11 @@
 /// \file layout.hpp
-/// \brief Blocked (panelized) code layouts for the LUT-GEMM kernel family.
+/// \brief Blocked (panelized) code layouts for the LUT-GEMM kernels.
 ///
-/// PR 3's kernels read row-major code matrices: the forward inner loop walks
-/// one weight row per output channel, so every (p, o) pair re-streams K
-/// codes from a different cache line set, and the product-LUT row is chosen
-/// per element. This file defines the cache-conscious layout the blocked
-/// kernels (lut_kernels.hpp) consume instead:
+/// A row-major code matrix makes the forward inner loop walk one weight row
+/// per output channel, so every (p, o) pair re-streams K codes from a
+/// different cache line set and the product-LUT row is chosen per element.
+/// This file defines the cache-conscious layout the kernels
+/// (lut_kernels.hpp) consume instead:
 ///
 ///   Panel format. A logical (rows, depth) code matrix is cut into
 ///   (tr x tk) panels, stored panel-row-major:
@@ -24,18 +24,20 @@
 ///   partial. Rows are padded physically (full tr x tk panels are always
 ///   allocated; pad slots hold code 0) but kernels iterate only the real
 ///   extent, so pad codes never enter an accumulator — this is what keeps
-///   blocked results bitwise-identical to the scalar oracle (a padded depth
-///   tap would add a real LUT value, since LUT[0 | x] is generally nonzero).
+///   blocked results bitwise-identical to the row-major reference (a padded
+///   depth tap would add a real LUT value, since LUT[0 | x] is generally
+///   nonzero).
 ///
 ///   Panel header. The Eq. (8) zero-point correction needs per-row code
 ///   sums (sum_w[o], sum_x[p]). They are computed once during packing and
 ///   carried next to the panels ("hoisted into the panel header") so neither
 ///   forward nor backward re-reduces the codes.
 ///
-/// The planner also fuses im2col into panel production: pack_im2col_* walk
-/// the convolution taps directly from the NCHW/NHWC feature map into panel
-/// slots (zero-point padding applied on the fly), eliminating the full
-/// (positions x patch) intermediate im2col buffer of the unfused path.
+/// The planner also fuses im2col into panel production: the packers walk
+/// the convolution taps directly from the feature map (NCHW float for
+/// training, NHWC uint8 for the integer engine) into panel slots (padding
+/// applied on the fly), eliminating the full (positions x patch)
+/// intermediate im2col buffer of an unfused path.
 ///
 /// Raw indexing into panel buffers outside src/kernels is rejected by
 /// scripts/check_invariants.py (rule panel-indexing); consumers go through
@@ -143,14 +145,9 @@ void unpack_weight_panels(const WeightPanels& w, unsigned bits,
 /// Inverse of pack_activation_panels.
 void unpack_activation_panels(const ActPanels& x, std::uint16_t* xq_out);
 
-/// Memory layout of a uint8 activation feature map.
-enum class ActivationLayout {
-    kNCHW, ///< planar: ((n*C + c)*H + y)*W + x
-    kNHWC, ///< channel-interleaved: ((n*H + y)*W + x)*C + c
-};
-
 /// Fused im2col + pack for the integer inference path: unfolds the uint8
-/// feature map \p x (layout \p layout) under \p geom straight into
+/// NHWC feature map \p x (element ((n*H + y)*W + x)*C + c; channel-adjacent
+/// taps share a cache line) under \p geom straight into
 /// zero-point-padded uint16 panels (plan rows = positions, depth = patch),
 /// computing the row-sum header on the fly. No intermediate
 /// (positions x patch) column buffer is materialized. Parallel over
@@ -158,7 +155,6 @@ enum class ActivationLayout {
 /// get the nibble-packed mirror for the SIMD pshufb path (attach_packed4).
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
-                                ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
                                 Workspace& ws, unsigned bits = 8);
 

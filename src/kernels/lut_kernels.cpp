@@ -1,95 +1,12 @@
 #include "kernels/lut_kernels.hpp"
 
 #include "kernels/simd/simd.hpp"
+#include "kernels/tuning.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 
 namespace amret::kernels {
-
-void lut_row_sums_x(const LutGemmArgs& args, std::int64_t p0, std::int64_t p1,
-                    std::int64_t* sum_x) {
-    for (std::int64_t pp = p0; pp < p1; ++pp) {
-        const std::uint16_t* xrow = args.xq + pp * args.k;
-        std::int64_t s = 0;
-        for (std::int64_t kk = 0; kk < args.k; ++kk) s += xrow[kk];
-        sum_x[pp] = s;
-    }
-}
-
-void lut_row_sums_w(const LutGemmArgs& args, std::int64_t* sum_w) {
-    runtime::parallel_for(0, args.o, runtime::grain_for(args.o, tune::kGrainSumRows),
-                          [&](std::int64_t ob, std::int64_t oe) {
-        for (std::int64_t i = ob; i < oe; ++i) {
-            const std::uint16_t* row = args.wq + i * args.k;
-            std::int64_t s = 0;
-            for (std::int64_t kk = 0; kk < args.k; ++kk) s += row[kk];
-            sum_w[i] = s;
-        }
-    });
-}
-
-void lut_forward(const LutGemmArgs& args, const float* bias, float* y,
-                 Workspace& ws, const TileConfig& tile) {
-    AMRET_OBS_SPAN("kernels.lut_forward");
-    AMRET_OBS_COUNT("kernels.gemm.rows", args.p);
-    AMRET_OBS_COUNT("kernels.gemm.tiles",
-                    runtime::chunk_count(0, args.p,
-                                         runtime::grain_for(args.p,
-                                                            tune::kGrainGemmRows)) *
-                        ((args.o + tile.to - 1) / tile.to));
-    // Row sums for the Eq. (8) zero-point correction terms. Weight sums may
-    // be hoisted by the caller (args.sum_w); activation sums are per call.
-    const std::int64_t* sum_w = args.sum_w;
-    if (sum_w == nullptr) {
-        std::int64_t* sw = ws.alloc<std::int64_t>(args.o);
-        lut_row_sums_w(args, sw);
-        sum_w = sw;
-    }
-    std::int64_t* sum_x = ws.alloc<std::int64_t>(args.p);
-
-    const std::int64_t grain = runtime::grain_for(args.p, tune::kGrainGemmRows);
-    const std::int64_t chunks = runtime::chunk_count(0, args.p, grain);
-    std::int64_t* acc = ws.alloc<std::int64_t>(chunks * tile.acc_elems());
-
-    // Position rows of y are independent; each chunk owns a row range and
-    // its own accumulator tile.
-    runtime::parallel_for_chunks(0, args.p, grain,
-                                 [&](std::int64_t pb, std::int64_t pe,
-                                     std::size_t chunk) {
-        lut_row_sums_x(args, pb, pe, sum_x);
-        lut_gemm_tile(args, pb, pe, sum_w, sum_x, tile,
-                      acc + static_cast<std::int64_t>(chunk) * tile.acc_elems(),
-                      [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-            const float ss = args.row_scale_w(oo) * args.scale_x;
-            y[pp * args.o + oo] =
-                ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-        });
-    });
-}
-
-void lut_forward_serial(const LutGemmArgs& args, const float* bias, float* y,
-                        const TileConfig& tile, const LutGemmScratch& scratch) {
-    AMRET_OBS_SPAN("kernels.lut_forward_serial");
-    AMRET_OBS_COUNT("kernels.gemm.rows", args.p);
-    const std::int64_t* sum_w = args.sum_w;
-    if (sum_w == nullptr) {
-        for (std::int64_t i = 0; i < args.o; ++i) {
-            const std::uint16_t* row = args.wq + i * args.k;
-            std::int64_t s = 0;
-            for (std::int64_t kk = 0; kk < args.k; ++kk) s += row[kk];
-            scratch.sum_w[i] = s;
-        }
-        sum_w = scratch.sum_w;
-    }
-    lut_row_sums_x(args, 0, args.p, scratch.sum_x);
-    lut_gemm_tile(args, 0, args.p, sum_w, scratch.sum_x, tile, scratch.acc,
-                  [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-        const float ss = args.row_scale_w(oo) * args.scale_x;
-        y[pp * args.o + oo] =
-            ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-    });
-}
 
 void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
                           float* bias_grad) {
@@ -102,84 +19,6 @@ void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
         },
         bias_grad);
 }
-
-void lut_backward(const LutGemmArgs& args, const float* gyp,
-                  const float* grad_w_lut, const float* grad_x_lut,
-                  float* gw_raw, float* gx_raw, const TileConfig& tile) {
-    AMRET_OBS_SPAN("kernels.lut_backward");
-    AMRET_OBS_COUNT("kernels.gemm.backward_rows", args.p);
-    const std::int64_t o_rows = args.o, p_rows = args.p, depth = args.k;
-    const unsigned bits = args.bits;
-    const float zx = static_cast<float>(args.zero_x);
-
-    // Activation gradients: each position row of gx is owned by one chunk.
-    // Output-channel blocks are visited in ascending order, so every
-    // gx[p, k] element still accumulates over o in ascending order — the
-    // float sums match the unblocked kernel bit for bit; blocking only keeps
-    // the (to x tk) weight tile resident across the chunk's position rows.
-    runtime::parallel_for(0, p_rows,
-                          runtime::grain_for(p_rows, tune::kGrainGemmRows),
-                          [&](std::int64_t pb, std::int64_t pe) {
-        for (std::int64_t ob = 0; ob < o_rows; ob += tile.to) {
-            const std::int64_t oe = std::min(ob + tile.to, o_rows);
-            for (std::int64_t kb = 0; kb < depth; kb += tile.tk) {
-                const std::int64_t ke = std::min(kb + tile.tk, depth);
-                for (std::int64_t pp = pb; pp < pe; ++pp) {
-                    const std::uint16_t* xrow = args.xq + pp * depth;
-                    float* gxrow = gx_raw + pp * depth;
-                    const float* gyrow = gyp + pp * o_rows;
-                    for (std::int64_t oo = ob; oo < oe; ++oo) {
-                        const float g = gyrow[oo];
-                        if (g == 0.0f) continue;
-                        // The row's weight scale is folded into the
-                        // activation-gradient contribution here, since it
-                        // varies per output channel in per-channel mode.
-                        const float zw = static_cast<float>(args.row_zero_w(oo));
-                        const float gx_scale = args.row_scale_w(oo);
-                        const std::uint16_t* wrow = args.wq + oo * depth;
-                        for (std::int64_t kk = kb; kk < ke; ++kk) {
-                            const std::uint32_t idx =
-                                (static_cast<std::uint32_t>(wrow[kk]) << bits) |
-                                xrow[kk];
-                            gxrow[kk] += g * gx_scale * (grad_x_lut[idx] - zw);
-                        }
-                    }
-                }
-            }
-        }
-    });
-
-    // Weight gradients: iterate output channels outermost so each gw row is
-    // owned by one chunk. Position blocks are visited in ascending order and
-    // positions ascend within a block, so every gw[o, k] element accumulates
-    // over p in the same ascending order as the unblocked kernel; blocking
-    // keeps the (tp x tk) activation tile resident across the chunk's
-    // output channels.
-    runtime::parallel_for(0, o_rows,
-                          runtime::grain_for(o_rows, tune::kGrainChannel),
-                          [&](std::int64_t ob, std::int64_t oe) {
-        for (std::int64_t pb = 0; pb < p_rows; pb += tile.tp) {
-            const std::int64_t pe = std::min(pb + tile.tp, p_rows);
-            for (std::int64_t oo = ob; oo < oe; ++oo) {
-                const std::uint16_t* wrow = args.wq + oo * depth;
-                float* gwrow = gw_raw + oo * depth;
-                for (std::int64_t pp = pb; pp < pe; ++pp) {
-                    const float g = gyp[pp * o_rows + oo];
-                    if (g == 0.0f) continue;
-                    const std::uint16_t* xrow = args.xq + pp * depth;
-                    for (std::int64_t kk = 0; kk < depth; ++kk) {
-                        const std::uint32_t idx =
-                            (static_cast<std::uint32_t>(wrow[kk]) << bits) |
-                            xrow[kk];
-                        gwrow[kk] += g * (grad_w_lut[idx] - zx);
-                    }
-                }
-            }
-        }
-    });
-}
-
-// ------------------------------------------------------ blocked kernels ----
 
 void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
                                    std::int64_t ob, std::int64_t* acc) {
@@ -223,8 +62,8 @@ void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
     const std::int64_t acc_elems = args.x.plan.tr * args.w.plan.tr;
     std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
     // Position row-blocks write disjoint y rows; each chunk owns its own
-    // accumulator tile. The epilogue matches the scalar kernel's float
-    // expression exactly (per-element values are order-independent).
+    // accumulator tile. Per-element values are order-independent (int64
+    // accumulator, one float epilogue expression per element).
     runtime::parallel_for_chunks(0, nblocks, grain,
                                  [&](std::int64_t b0, std::int64_t b1,
                                      std::size_t chunk) {
@@ -251,12 +90,12 @@ void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
     const std::int64_t kblocks = xp.depth_blocks();
     const float zx = static_cast<float>(args.zero_x);
 
-    // Activation gradients: one chunk owns each gx row. For every element
-    // gx[p, k] the scalar oracle accumulates over output channels in globally
-    // ascending o (o-blocks ascend, o ascends within a block); here the
+    // Activation gradients: one chunk owns each gx row. Every element
+    // gx[p, k] accumulates over output channels in globally ascending o: the
     // nonzero output gradients of the row are compacted once, in ascending o,
     // and replayed per depth index — the same additions of the same float
-    // products in the same order, i.e. bitwise-identical. The panel layout
+    // products in the same order as the naive reference, i.e. bitwise-
+    // identical. The panel layout
     // makes the weight read at fixed k unit-stride across the o lane
     // (wv = codes[panel + kk*to + lane]), and the compaction lists keep the
     // hot gradient-LUT rows resident.
@@ -338,10 +177,10 @@ void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
         });
     }
 
-    // Weight gradients: one chunk owns each gw row. Per element gw[o, k] the
-    // scalar oracle accumulates over positions in globally ascending p; here
-    // each position block's nonzero gradients are compacted in ascending p
-    // and replayed per depth index — identical order, identical float ops.
+    // Weight gradients: one chunk owns each gw row. Every element gw[o, k]
+    // accumulates over positions in globally ascending p: each position
+    // block's nonzero gradients are compacted in ascending p and replayed
+    // per depth index — identical order, identical float ops.
     // The activation panel read at fixed k is unit-stride across the
     // position lane.
     {

@@ -1,31 +1,31 @@
 /// \file lut_kernels.hpp
-/// \brief Tiled LUT-GEMM micro-kernel family (forward, grad-X, grad-W).
+/// \brief The LUT-GEMM kernels (forward, grad-X, grad-W) over blocked panels.
 ///
 /// These are the CPU equivalents of the paper's CUDA kernels and the single
 /// implementation of the Fig. 4 dataflow: the forward kernel replaces every
 /// multiply-accumulate with a product-LUT lookup and applies the Eq. (8)
-/// zero-point correction; the backward kernels replace the multiplier
-/// derivative with gradient-LUT lookups (Eq. 9). ApproxConv2d (after
-/// im2col), ApproxLinear, DepthwiseConv2d (O = 1 per channel) and the
-/// integer inference engine all run on this family.
+/// zero-point correction; the backward kernel replaces the multiplier
+/// derivative with gradient-LUT lookups (Eq. 9). ApproxConv2d, ApproxLinear
+/// and the integer inference engine all run on them; operands come
+/// pre-tiled as panels (layout.hpp) with the Eq. (8) row sums hoisted into
+/// the panel headers, and the per-tile accumulation runs through the SIMD
+/// dispatch seam (kernels/simd).
 ///
-/// Tiling. Loops are blocked over P x O x K (TileConfig) so the operand
-/// tiles stay L1-resident and the 2^{2B} product LUT stays L2-resident,
-/// instead of streaming the full weight matrix once per position row.
-/// Tiling never changes results:
+/// Blocking never changes results, and every kernel memcmp-matches the
+/// order-faithful naive reference over row-major codes that lives in
+/// tests/lut_reference.hpp:
 ///   - the forward accumulator is int64 — integer addition is associative,
-///     so any block order (and any split of the inner k loop) is exact;
+///     so any panel order (and any split of the inner k loop) is exact;
 ///   - the backward float accumulations preserve their defining orders:
 ///     gx[p, k] sums over output channels in ascending o for every element,
-///     gw[o, k] sums over positions in ascending p — blocks are visited in
-///     ascending order, which concatenates to the same total order.
+///     gw[o, k] sums over positions in ascending p, and each evaluates the
+///     reference's float expression.
 /// Combined with the runtime determinism contract (chunks depend only on
-/// shape and grain), outputs are bitwise-identical for any AMRET_THREADS
-/// and any tile configuration.
+/// shape and grain), outputs are bitwise-identical for any AMRET_THREADS,
+/// tile configuration and SIMD level.
 #pragma once
 
 #include "kernels/layout.hpp"
-#include "kernels/tuning.hpp"
 #include "kernels/workspace.hpp"
 
 #include <algorithm>
@@ -34,166 +34,12 @@
 
 namespace amret::kernels {
 
-/// Operand matrices and quantization constants of one LUT GEMM.
-/// Layout: wq is (rows_o, depth_k), xq is (rows_p, depth_k), both row-major;
-/// LUT index is (w << bits) | x.
-struct LutGemmArgs {
-    unsigned bits = 8;
-    const std::int32_t* lut = nullptr;  ///< product LUT, 2^(2*bits) entries
-    const std::uint16_t* wq = nullptr;  ///< quantized weights (O, K)
-    const std::uint16_t* xq = nullptr;  ///< quantized activations (P, K)
-    std::int64_t o = 0;                 ///< output rows (channels)
-    std::int64_t p = 0;                 ///< positions (batch x spatial)
-    std::int64_t k = 0;                 ///< reduction depth
-    float scale_w = 1.0f, scale_x = 1.0f;
-    std::int32_t zero_w = 0, zero_x = 0;
-    /// Optional per-output-channel weight quantization: when non-null these
-    /// arrays (length O) override scale_w / zero_w row-wise.
-    const float* scale_w_per_o = nullptr;
-    const std::int32_t* zero_w_per_o = nullptr;
-    /// Optional precomputed weight row sums (length O). The integer
-    /// inference engine hoists them across batches (weights are static after
-    /// compilation); when null the forward kernel computes them per call.
-    const std::int64_t* sum_w = nullptr;
-
-    [[nodiscard]] float row_scale_w(std::int64_t oo) const {
-        return scale_w_per_o ? scale_w_per_o[oo] : scale_w;
-    }
-    [[nodiscard]] std::int32_t row_zero_w(std::int64_t oo) const {
-        return zero_w_per_o ? zero_w_per_o[oo] : zero_w;
-    }
-};
-
-/// P/O/K block dimensions of the tiled kernels. Defaults come from the
-/// runtime Tuning picks (AMRET_TILES env override, then the persistent
-/// auto-tuner file, then the tune::kTile* constants); bench_micro
-/// --tile-sweep measures alternatives and writes the tuner file.
-struct TileConfig {
-    std::int64_t tp = Tuning::current().tp;
-    std::int64_t to = Tuning::current().to;
-    std::int64_t tk = Tuning::current().tk;
-
-    /// Accumulator tile elements a caller must provide as scratch.
-    [[nodiscard]] std::int64_t acc_elems() const { return tp * to; }
-};
-
-/// Computes the weight row sums of \p args into \p sum_w (length O).
-void lut_row_sums_w(const LutGemmArgs& args, std::int64_t* sum_w);
-
-/// Computes the activation row sums over position rows [p0, p1) into
-/// \p sum_x (indexed by absolute row). Serial — callers embed it in their
-/// own parallel decomposition.
-void lut_row_sums_x(const LutGemmArgs& args, std::int64_t p0, std::int64_t p1,
-                    std::int64_t* sum_x);
-
-/// Tiled integer GEMM core over position rows [p0, p1): accumulates
-/// sum_k LUT[w, x] per (p, o) in int64 tiles, applies the Eq. (8) zero-point
-/// correction using the precomputed row sums, and hands each corrected
-/// accumulator to \p epi(p, o, corrected). \p acc must hold
-/// tile.acc_elems() int64s (per-caller scratch; one per parallel chunk).
-/// Serial over the given range — callers own the parallel decomposition.
-template <class Epilogue>
-void lut_gemm_tile(const LutGemmArgs& a, std::int64_t p0, std::int64_t p1,
-                   const std::int64_t* sum_w, const std::int64_t* sum_x,
-                   const TileConfig& tile, std::int64_t* acc, Epilogue&& epi) {
-    const unsigned bits = a.bits;
-    for (std::int64_t pb = p0; pb < p1; pb += tile.tp) {
-        const std::int64_t pe = std::min(pb + tile.tp, p1);
-        for (std::int64_t ob = 0; ob < a.o; ob += tile.to) {
-            const std::int64_t oe = std::min(ob + tile.to, a.o);
-            const std::int64_t tw = oe - ob;
-            std::fill(acc, acc + (pe - pb) * tw, std::int64_t{0});
-            for (std::int64_t kb = 0; kb < a.k; kb += tile.tk) {
-                const std::int64_t ke = std::min(kb + tile.tk, a.k);
-                for (std::int64_t pp = pb; pp < pe; ++pp) {
-                    const std::uint16_t* xrow = a.xq + pp * a.k;
-                    std::int64_t* arow = acc + (pp - pb) * tw;
-                    for (std::int64_t oo = ob; oo < oe; ++oo) {
-                        const std::uint16_t* wrow = a.wq + oo * a.k;
-                        // Single accumulator chain: the random LUT loads are
-                        // the bottleneck and out-of-order hardware already
-                        // overlaps them across iterations; measured multi-
-                        // chain unrolls only added register pressure (see
-                        // results/kernel_tile_sweep.csv methodology). The
-                        // tiling win is operand reuse: each weight row is
-                        // streamed once per tile.tp position rows instead of
-                        // once per row.
-                        std::int64_t s = 0;
-                        for (std::int64_t kk = kb; kk < ke; ++kk) {
-                            s += a.lut[(static_cast<std::uint32_t>(wrow[kk]) << bits) |
-                                       xrow[kk]];
-                        }
-                        arow[oo - ob] += s;
-                    }
-                }
-            }
-            for (std::int64_t pp = pb; pp < pe; ++pp) {
-                const std::int64_t* arow = acc + (pp - pb) * tw;
-                for (std::int64_t oo = ob; oo < oe; ++oo) {
-                    const std::int32_t zw = a.row_zero_w(oo);
-                    const std::int64_t corrected =
-                        arow[oo - ob] -
-                        static_cast<std::int64_t>(a.zero_x) * sum_w[oo] -
-                        static_cast<std::int64_t>(zw) * sum_x[pp] +
-                        a.k * static_cast<std::int64_t>(zw) * a.zero_x;
-                    epi(pp, oo, corrected);
-                }
-            }
-        }
-    }
-}
-
-/// Scratch buffers for one serial lut_forward call (all caller-owned):
-/// sum_w has O elements (ignored when args.sum_w is set), sum_x has P, and
-/// acc has tile.acc_elems().
-struct LutGemmScratch {
-    std::int64_t* sum_w = nullptr;
-    std::int64_t* sum_x = nullptr;
-    std::int64_t* acc = nullptr;
-};
-
-/// Forward: y[p, o] = s_w*s_x*(sum_k LUT[w,x] - Z_x*sumW[o] - Z_w*sumX[p]
-///                             + K*Z_w*Z_x) + bias[o].
-/// \p bias may be null. \p y is (P, O), overwritten. Parallel over position
-/// rows; scratch comes from \p ws.
-void lut_forward(const LutGemmArgs& args, const float* bias, float* y,
-                 Workspace& ws, const TileConfig& tile = TileConfig{});
-
-/// Serial single-range variant for callers that manage their own parallel
-/// decomposition (e.g. the channel-parallel depthwise loop). Scratch is
-/// caller-owned so concurrent chunks don't contend on the workspace.
-void lut_forward_serial(const LutGemmArgs& args, const float* bias, float* y,
-                        const TileConfig& tile, const LutGemmScratch& scratch);
-
 /// Column sums of a (P, O) position-major output gradient into \p bias_grad
 /// (accumulated, not overwritten) via the deterministic per-chunk reduction.
 /// The grain (tune::kGrainBiasRows) is part of the numerical contract: it
 /// fixes the float association order of the reduction.
 void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
                           float* bias_grad);
-
-/// Backward: accumulates the multiplier-gradient sums
-///   gw_raw[o, k] += sum_p gyp[p, o] * (gradW[w,x] - Z_x)
-///   gx_raw[p, k] += sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
-/// The weight scale is folded into gx_raw (it varies per row in per-channel
-/// mode); the remaining factors — s_x for gw, and the clamp masks — are
-/// applied by the caller (see ApproxConv2d::backward_quant). Buffers must
-/// be zero-initialized.
-void lut_backward(const LutGemmArgs& args, const float* gyp,
-                  const float* grad_w_lut, const float* grad_x_lut,
-                  float* gw_raw, float* gx_raw,
-                  const TileConfig& tile = TileConfig{});
-
-// ----------------------------------------------------------------------
-// Blocked-layout kernels (PR 8). Operands come pre-tiled as panels
-// (layout.hpp) with the Eq. (8) row sums hoisted into the panel headers;
-// the scalar kernels above are retained as the bitwise oracle and every
-// blocked kernel memcmp-matches them (tests/test_layout.cpp):
-//   - forward accumulates in int64, so the panel loop order is exact;
-//   - the blocked backward preserves the scalar accumulation orders
-//     element-for-element (gx: ascending o; gw: ascending p) and evaluates
-//     the identical float expressions, so the float sums match bit for bit.
-// ----------------------------------------------------------------------
 
 /// One LUT GEMM over blocked operands. Both panels must share the same
 /// depth blocking (same tk and logical depth k).
@@ -220,8 +66,9 @@ struct BlockedGemmArgs {
 
 /// Fills the int64 accumulator tile of block (rb, ob) with the scalar panel
 /// loop: acc[oo * a.x.plan.tr + pp] = sum_k LUT[w, x] over the real rows and
-/// depth of the block (pad rows are left zero). This is the PR-8 loop and
-/// the bitwise oracle every SIMD kernel memcmps against. \p acc must hold
+/// depth of the block (pad rows are left zero). This is the scalar-dispatch
+/// fallback and the bitwise oracle every SIMD kernel memcmps against.
+/// \p acc must hold
 /// a.x.plan.tr * a.w.plan.tr int64s.
 ///
 /// Inner loop: for a fixed depth index the activation panel column and the
@@ -240,7 +87,7 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
 void accumulate_panel_block(const BlockedGemmArgs& a, std::int64_t rb,
                             std::int64_t ob, std::int64_t* acc);
 
-/// Blocked integer GEMM core over position row-blocks [rb0, rb1) of
+/// Integer GEMM core over position row-blocks [rb0, rb1) of
 /// a.x.plan. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s. Serial —
 /// callers own the parallel decomposition (blocks write disjoint rows).
 /// The accumulation of each (rb, ob) tile runs through the SIMD dispatch
@@ -276,14 +123,22 @@ void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
     }
 }
 
-/// Blocked forward into a (P, O) float matrix; bitwise-identical to
-/// lut_forward over the same codes. Parallel over position row-blocks.
+/// Forward into a (P, O) float matrix:
+///   y[p, o] = s_w*s_x*(sum_k LUT[w,x] - Z_x*sumW[o] - Z_w*sumX[p]
+///                      + K*Z_w*Z_x) + bias[o].
+/// \p bias may be null; \p y is overwritten. Parallel over position
+/// row-blocks; scratch comes from \p ws.
 void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
                          float* y, Workspace& ws);
 
-/// Blocked backward; bitwise-identical to lut_backward over the same codes
-/// (gw_raw / gx_raw row-major, zero-initialized by the caller). Scratch for
-/// the per-row nonzero-gradient compaction comes from \p ws.
+/// Backward: accumulates the multiplier-gradient sums
+///   gw_raw[o, k] += sum_p gyp[p, o] * (gradW[w,x] - Z_x)
+///   gx_raw[p, k] += sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
+/// into row-major buffers the caller zero-initializes. The weight scale is
+/// folded into gx_raw (it varies per row in per-channel mode); the remaining
+/// factors — s_x for gw, and the clamp masks — are applied by the caller
+/// (see ApproxConv2d::backward_quant). Scratch for the per-row
+/// nonzero-gradient compaction comes from \p ws.
 void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
                           const float* grad_w_lut, const float* grad_x_lut,
                           float* gw_raw, float* gx_raw, Workspace& ws);

@@ -8,7 +8,6 @@
 /// (see workspace.hpp lifetime rules).
 #pragma once
 
-#include "kernels/layout.hpp"
 #include "kernels/workspace.hpp"
 #include "quant/quant.hpp"
 
@@ -40,35 +39,5 @@ QuantView quantize_weights_per_channel(const float* w, std::int64_t o,
                                        std::int64_t patch, unsigned bits,
                                        float* scale_per_o,
                                        std::int32_t* zero_per_o, Workspace& ws);
-
-/// Quantized activation operand pre-tiled to the blocked kernel layout
-/// (layout.hpp): codes land directly in (tr x tk) panels with the Eq. (8)
-/// row-sum header hoisted, while the clamp mask stays row-major
-/// (plan.rows x plan.depth) for the STE backward epilogues. Codes and masks
-/// are bitwise-identical to quantize_into over the same values.
-struct QuantPanels {
-    ActPanels panels;
-    std::uint8_t* in_range = nullptr; ///< 1 where the STE gradient passes
-    quant::QuantParams params;
-};
-
-/// Fused quantize + pack of a row-major float matrix (the ApproxLinear
-/// activation path).
-QuantPanels quantize_panels(const float* src, const quant::QuantParams& params,
-                            const PanelPlan& plan, Workspace& ws);
-
-/// Fused im2col + quantize + pack of an NCHW float feature map (the
-/// ApproxConv2d activation path): no intermediate (positions x patch)
-/// column buffer is materialized.
-QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
-                                 const quant::QuantParams& params,
-                                 const PanelPlan& plan, Workspace& ws);
-
-/// Quantizes the (o, patch) weight matrix row-major (codes + mask, as
-/// quantize_into) AND packs the codes into pre-shifted weight panels under
-/// \p plan — the single weight-code path shared by the scalar oracle and
-/// the blocked kernels, so both see identical codes by construction.
-WeightPanels pack_quantized_weights(const QuantView& wq, unsigned bits,
-                                    const PanelPlan& plan, Workspace& ws);
 
 } // namespace amret::kernels

@@ -132,7 +132,6 @@ bool load_tuning_file(const char* path, Tuning& t) {
 // behind the atomic flag.
 Tuning g_tuning_override;                       // invariant-ok: guarded override slot
 std::atomic<bool> g_tuning_overridden{false};   // invariant-ok: test-only hook
-std::atomic<int> g_layout_override{-1};         // invariant-ok: test-only hook
 
 } // namespace
 
@@ -160,29 +159,6 @@ void Tuning::set_for_test(const Tuning& t) {
 
 void Tuning::clear_test_override() {
     g_tuning_overridden.store(false, std::memory_order_release);
-}
-
-LayoutMode layout_mode() {
-    const int forced = g_layout_override.load(std::memory_order_acquire);
-    if (forced >= 0) return static_cast<LayoutMode>(forced);
-    static const LayoutMode resolved = [] {
-        const char* env = std::getenv("AMRET_LAYOUT");
-        if (env == nullptr) return LayoutMode::kBlocked;
-        if (std::strcmp(env, "scalar") == 0) return LayoutMode::kScalar;
-        if (std::strcmp(env, "blocked-nhwc") == 0 ||
-            std::strcmp(env, "nhwc") == 0)
-            return LayoutMode::kBlockedNhwc;
-        return LayoutMode::kBlocked;
-    }();
-    return resolved;
-}
-
-void set_layout_mode(LayoutMode mode) {
-    g_layout_override.store(static_cast<int>(mode), std::memory_order_release);
-}
-
-void clear_layout_mode_override() {
-    g_layout_override.store(-1, std::memory_order_release);
 }
 
 } // namespace amret::kernels

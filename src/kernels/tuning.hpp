@@ -44,17 +44,19 @@ inline constexpr std::int64_t kGrainElementwise = 256;
 /// Wide elementwise loops (quantization, input conversion).
 inline constexpr std::int64_t kGrainElementwiseWide = 1024;
 
-/// LUT-GEMM tile block dims; the int64 accumulator tile is kTileP x kTileO.
-/// Tuned from bench_micro --tile-sweep (results/kernel_tile_sweep.csv): the
-/// random product-LUT lookups dominate, so wide K blocks win (K splitting
-/// only adds accumulator-tile traffic) and large P/O tiles amortize the
-/// epilogue. kTileK still bounds the operand rows touched per accumulator
-/// pass for very deep reductions (patch > 1024).
+/// LUT-GEMM panel dims: activation panels are kTileP rows, weight panels
+/// kTileO rows, both kTileK deep; the int64 accumulator tile is
+/// kTileP x kTileO. Tuned from bench_micro --tile-sweep
+/// (results/kernel_tile_sweep.csv): the random product-LUT lookups dominate,
+/// so wide K blocks win (K splitting only adds accumulator-tile traffic) and
+/// large P/O tiles amortize the epilogue. kTileK still bounds the operand
+/// rows touched per accumulator pass for very deep reductions (patch > 1024).
 ///
-/// These are the COMPILED FALLBACKS only: TileConfig now defaults to
-/// kernels::Tuning::current(), which resolves AMRET_TILES, then the
-/// persistent auto-tuner output (results/kernel_tuning.json, written by
-/// bench_micro --tile-sweep), and only then these constants.
+/// These are the COMPILED FALLBACKS only: the layers and the integer engine
+/// take their panel plans from kernels::Tuning::current(), which resolves
+/// AMRET_TILES, then the persistent auto-tuner output
+/// (results/kernel_tuning.json, written by bench_micro --tile-sweep), and
+/// only then these constants.
 inline constexpr std::int64_t kTileP = 16;
 inline constexpr std::int64_t kTileO = 64;
 inline constexpr std::int64_t kTileK = 1024;
@@ -63,7 +65,7 @@ inline constexpr std::int64_t kTileK = 1024;
 
 namespace amret::kernels {
 
-/// Runtime tile/layout picks for the LUT-GEMM family. Resolution order:
+/// Runtime panel-tile picks for the LUT-GEMM kernels. Resolution order:
 ///   1. AMRET_TILES=PxOxK (e.g. "16x64x1024") — explicit override;
 ///   2. the persistent auto-tuner file written by bench_micro --tile-sweep
 ///      (results/kernel_tuning.json, or the path in AMRET_TUNING_FILE);
@@ -89,24 +91,5 @@ struct Tuning {
     /// Removes a set_for_test override.
     static void clear_test_override();
 };
-
-/// Which kernel data layout the quantized layers and the inference engine
-/// run. The scalar row-major path is retained as the bitwise oracle; the
-/// blocked paths are memcmp-identical to it by construction (int64 forward,
-/// order-preserving float backward).
-enum class LayoutMode {
-    kScalar,      ///< PR-3 row-major codes (the oracle)
-    kBlocked,     ///< panelized codes, NCHW activations between engine ops
-    kBlockedNhwc, ///< panelized codes + NHWC-interleaved engine activations
-};
-
-/// Process-wide layout mode: AMRET_LAYOUT=scalar|blocked|blocked-nhwc
-/// (default blocked), resolved once; set_layout_mode overrides (tests/bench,
-/// call only between kernel invocations). The sibling knob
-/// AMRET_SIMD=scalar|ssse3|avx2|avx512 caps which vector kernels run on the
-/// blocked layouts (kernels/simd/simd.hpp); both are bitwise-neutral.
-LayoutMode layout_mode();
-void set_layout_mode(LayoutMode mode);
-void clear_layout_mode_override();
 
 } // namespace amret::kernels

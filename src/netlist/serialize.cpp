@@ -1,7 +1,13 @@
 #include "netlist/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 #include <vector>
 
 namespace amret::netlist {
@@ -32,11 +38,7 @@ bool read_string(std::istream& is, std::string& s) {
     return static_cast<bool>(is);
 }
 
-} // namespace
-
-bool save_netlist(const Netlist& nl, const std::string& path) {
-    std::ofstream f(path, std::ios::binary);
-    if (!f) return false;
+void write_netlist(std::ostream& f, const Netlist& nl) {
     f.write(kMagic, sizeof(kMagic));
 
     write_u32(f, static_cast<std::uint32_t>(nl.num_nodes()));
@@ -56,7 +58,33 @@ bool save_netlist(const Netlist& nl, const std::string& path) {
         write_u32(f, port.net);
         write_string(f, port.name);
     }
-    return static_cast<bool>(f);
+}
+
+} // namespace
+
+bool save_netlist(const Netlist& nl, const std::string& path) {
+    // Publish atomically: write a temp file unique to this process and call
+    // in the target's directory, then rename it over the target. A reader
+    // (possibly another process loading the same cache entry) sees either
+    // the previous file or the complete new one, never a partial write.
+    static std::atomic<std::uint64_t> seq{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                            std::to_string(seq.fetch_add(1));
+    bool ok = false;
+    {
+        std::ofstream f(tmp, std::ios::binary);
+        if (!f) return false;
+        write_netlist(f, nl);
+        f.close();
+        ok = static_cast<bool>(f);
+    }
+    std::error_code ec;
+    if (ok) std::filesystem::rename(tmp, path, ec);
+    if (!ok || ec) {
+        std::filesystem::remove(tmp, ec);
+        return false;
+    }
+    return true;
 }
 
 std::optional<Netlist> load_netlist(const std::string& path) {

@@ -12,7 +12,9 @@
 
 namespace amret::netlist {
 
-/// Writes \p nl to \p path; returns false on I/O failure.
+/// Writes \p nl to \p path atomically (temp file in the same directory,
+/// then rename), so concurrent readers never see a partial file. Returns
+/// false on I/O failure, leaving \p path untouched and no temp file behind.
 bool save_netlist(const Netlist& nl, const std::string& path);
 
 /// Reads a netlist written by save_netlist; nullopt on failure or corrupt

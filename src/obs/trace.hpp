@@ -107,9 +107,9 @@ private:
 };
 
 /// A span that always measures wall time (whether or not tracing runs) and
-/// exposes it to the caller — the replacement for ad-hoc util::Stopwatch
-/// timing in instrumented code: benches and progress logs read seconds()
-/// while the same interval lands in the trace when one is being recorded.
+/// exposes it to the caller — the timer for instrumented code: benches and
+/// progress logs read seconds() while the same interval lands in the trace
+/// when one is being recorded.
 class TimedSpan {
 public:
     explicit TimedSpan(const char* name) noexcept;

@@ -5,6 +5,7 @@
 #include "approx/approx_conv.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "lut_reference.hpp"
 #include "appmult/registry.hpp"
 #include "models/models.hpp"
 
@@ -41,6 +42,14 @@ MultiplierConfig approx_config(const std::string& name, core::GradientMode mode,
 
 // ------------------------------------------------------------- lut_gemm --
 
+/// Runs the production kernels on row-major operands: packs them into
+/// panels under the runtime default tiles.
+kernels::BlockedGemmArgs blocked(const lutref::RowMajorGemm& a,
+                                 kernels::Workspace& ws) {
+    const kernels::Tuning& t = kernels::Tuning::current();
+    return lutref::pack_blocked(a, t.tp, t.to, t.tk, ws, /*nibbles=*/true);
+}
+
 TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
     const unsigned bits = 4;
     const auto lut = appmult::AppMultLut::exact(bits);
@@ -48,7 +57,7 @@ TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
     std::vector<std::uint16_t> wq = {1, 2, 3, 4, 5, 0, 15, 7, 9, 3, 8, 8, 8, 8, 8};
     std::vector<std::uint16_t> xq = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3};
 
-    kernels::LutGemmArgs args;
+    lutref::RowMajorGemm args;
     args.bits = bits;
     args.lut = lut.table().data();
     args.wq = wq.data();
@@ -63,7 +72,7 @@ TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
 
     std::vector<float> y(static_cast<std::size_t>(P * O));
     kernels::Workspace ws;
-    kernels::lut_forward(args, nullptr, y.data(), ws);
+    kernels::lut_forward_blocked(blocked(args, ws), nullptr, y.data(), ws);
 
     for (std::int64_t p = 0; p < P; ++p) {
         for (std::int64_t o = 0; o < O; ++o) {
@@ -84,7 +93,7 @@ TEST(LutGemm, ForwardAddsBias) {
     const auto lut = appmult::AppMultLut::exact(bits);
     std::vector<std::uint16_t> wq = {0};
     std::vector<std::uint16_t> xq = {0};
-    kernels::LutGemmArgs args;
+    lutref::RowMajorGemm args;
     args.bits = bits;
     args.lut = lut.table().data();
     args.wq = wq.data();
@@ -93,7 +102,7 @@ TEST(LutGemm, ForwardAddsBias) {
     const float bias = 2.75f;
     float y = 0.0f;
     kernels::Workspace ws;
-    kernels::lut_forward(args, &bias, &y, ws);
+    kernels::lut_forward_blocked(blocked(args, ws), &bias, &y, ws);
     EXPECT_FLOAT_EQ(y, 2.75f);
 }
 
@@ -106,7 +115,7 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
     std::vector<std::uint16_t> xq = {5, 5, 5, 5, 0, 1, 2, 3, 15, 14, 13, 12};
     std::vector<float> gyp = {1.0f, -2.0f, 0.5f, 0.0f, 3.0f, 1.0f};
 
-    kernels::LutGemmArgs args;
+    lutref::RowMajorGemm args;
     args.bits = bits;
     args.lut = lut.table().data();
     args.wq = wq.data();
@@ -119,8 +128,10 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
 
     std::vector<float> gw(static_cast<std::size_t>(O * K), 0.0f);
     std::vector<float> gx(static_cast<std::size_t>(P * K), 0.0f);
-    kernels::lut_backward(args, gyp.data(), grad.dw_table().data(),
-                          grad.dx_table().data(), gw.data(), gx.data());
+    kernels::Workspace ws;
+    kernels::lut_backward_blocked(blocked(args, ws), gyp.data(),
+                                  grad.dw_table().data(), grad.dx_table().data(),
+                                  gw.data(), gx.data(), ws);
 
     // STE raw sums: gw[o,k] = sum_p gyp * (Xq - Zx); gx[p,k] = sum_o gyp * (Wq - Zw).
     for (std::int64_t o = 0; o < O; ++o)

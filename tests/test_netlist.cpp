@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace {
 
@@ -269,6 +273,51 @@ TEST(Serialize, LoadRejectsCorruptMagic) {
     }
     EXPECT_FALSE(load_netlist(path).has_value());
     std::remove(path.c_str());
+}
+
+/// A per-process scratch directory under the gtest temp dir, so parallel
+/// ctest processes never share one.
+std::filesystem::path scratch_dir(const char* tag) {
+    return std::filesystem::path(::testing::TempDir()) /
+           (std::string("amret_") + tag + "_" + std::to_string(::getpid()));
+}
+
+TEST(Serialize, SaveReplacesExistingFileAtomically) {
+    const std::filesystem::path dir = scratch_dir("atomic_save");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "cache.netlist").string();
+
+    // An existing cache entry (XOR) is replaced by a different circuit.
+    ASSERT_TRUE(save_netlist(make_xor_circuit(), path));
+    Netlist fa;
+    const NetId a = fa.add_input("a");
+    const NetId b = fa.add_input("b");
+    const NetId c = fa.add_input("c");
+    const auto sum_carry = fa.full_adder(a, b, c);
+    fa.add_output("s", sum_carry.sum);
+    fa.add_output("co", sum_carry.carry);
+    ASSERT_TRUE(save_netlist(fa, path));
+
+    const auto loaded = load_netlist(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->num_inputs(), 3u);
+    EXPECT_EQ(eval_all_patterns(*loaded), eval_all_patterns(fa));
+    // The temp file was renamed into place: the target is the only entry.
+    std::size_t entries = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(e.path().filename(), "cache.netlist");
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Serialize, SaveIntoMissingDirectoryFailsAndCreatesNothing) {
+    const std::filesystem::path dir = scratch_dir("missing_dir");
+    std::filesystem::remove_all(dir);
+    EXPECT_FALSE(save_netlist(make_xor_circuit(), (dir / "x.netlist").string()));
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 } // namespace

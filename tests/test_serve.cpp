@@ -7,6 +7,7 @@
 #include "serve/serve.hpp"
 
 #include "appmult/registry.hpp"
+#include "kernels/simd/simd.hpp"
 #include "kernels/tuning.hpp"
 #include "models/models.hpp"
 #include "train/pipeline.hpp"
@@ -316,18 +317,22 @@ TEST_F(ServeEndToEnd, ServedLogitsBitwiseMatchSingleShot) {
 
 TEST_F(ServeEndToEnd, BlockedServePathMatchesScalarOracleBitwise) {
     const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
-    // Reference: a scalar-layout engine (the row-major oracle path),
-    // single-shot, no server involved.
-    kernels::set_layout_mode(kernels::LayoutMode::kScalar);
+    // Reference: an engine on the scalar panel loop over degenerate 1x1x1
+    // panels (one LUT lookup per accumulator step, no SIMD), single-shot,
+    // no server involved.
+    kernels::simd::set_isa_for_test(kernels::simd::Isa::kScalar);
+    kernels::Tuning::set_for_test(kernels::Tuning{1, 1, 1});
     auto oracle = load_engine(spec);
     std::vector<tensor::Tensor> expected;
     for (std::int64_t i = 0; i < 16; ++i)
         expected.push_back(oracle->forward(sample(i)));
+    kernels::Tuning::clear_test_override();
+    kernels::simd::clear_isa_override();
 
-    // Served traffic compiles its own engine under the blocked layout and
-    // runs the whole fused assembly: batch coalescing -> plan-keyed
-    // workspace epoch -> fused im2col panel packing -> blocked LUT-GEMM.
-    kernels::set_layout_mode(kernels::LayoutMode::kBlocked);
+    // Served traffic compiles its own engine with the default tiles and
+    // dispatch level and runs the whole fused assembly: batch coalescing ->
+    // plan-keyed workspace epoch -> fused im2col panel packing -> SIMD
+    // LUT-GEMM.
     auto registry = make_registry();
     serve::ServeConfig sc;
     sc.workers = 2;
@@ -345,7 +350,6 @@ TEST_F(ServeEndToEnd, BlockedServePathMatchesScalarOracleBitwise) {
             << i;
     }
     server.stop(true);
-    kernels::clear_layout_mode_override();
 }
 
 TEST_F(ServeEndToEnd, AdmissionRejectsWhenQueueFull) {
