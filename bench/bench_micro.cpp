@@ -99,30 +99,45 @@ void BM_LutForwardGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_LutForwardGemm)->Arg(6)->Arg(7)->Arg(8);
 
-void BM_LutBackwardGemm(benchmark::State& state) {
-    const unsigned bits = static_cast<unsigned>(state.range(0));
-    const std::int64_t o = 16, p = 256, k = 72;
+/// One fused LUT backward per iteration over (o, p, k); every
+/// \p zero_every-th upstream gradient on average is zero (0: dense).
+void run_lut_backward(benchmark::State& state, unsigned bits, std::int64_t o,
+                      std::int64_t p, std::int64_t k, std::uint64_t zero_every) {
     const auto lut = appmult::AppMultLut::exact(bits);
     const auto grad = core::build_ste_grad(bits);
     const PackedGemm g(lut, o, p, k, 2);
     util::Rng rng(3);
     std::vector<float> gyp(static_cast<std::size_t>(p * o));
-    for (auto& v : gyp) v = static_cast<float>(rng.normal());
+    for (auto& v : gyp)
+        v = zero_every != 0 && rng.uniform_u64(zero_every) == 0
+                ? 0.0f
+                : static_cast<float>(rng.normal());
     std::vector<float> gw(static_cast<std::size_t>(o * k));
     std::vector<float> gx(static_cast<std::size_t>(p * k));
-    kernels::Workspace ws;
     for (auto _ : state) {
-        ws.reset();
         std::fill(gw.begin(), gw.end(), 0.0f);
         std::fill(gx.begin(), gx.end(), 0.0f);
-        kernels::lut_backward_blocked(g.args, gyp.data(), grad.dw_table().data(),
-                                      grad.dx_table().data(), gw.data(), gx.data(),
-                                      ws);
+        kernels::lut_backward_blocked(g.args, gyp.data(), grad.pair_table().data(),
+                                      gw.data(), gx.data());
         benchmark::DoNotOptimize(gw.data());
+        benchmark::DoNotOptimize(gx.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
 }
+
+void BM_LutBackwardGemm(benchmark::State& state) {
+    run_lut_backward(state, static_cast<unsigned>(state.range(0)), 16, 256, 72, 0);
+}
 BENCHMARK(BM_LutBackwardGemm)->Arg(6)->Arg(7)->Arg(8);
+
+/// The shape the retraining loop spends its backward on: a deep VGG-style
+/// conv (o = 128 filters, patch k = 128 * 3 * 3, p = 128 positions) with
+/// about half of the upstream gradient zero, as after a ReLU.
+void BM_LutBackwardGemmRetrain(benchmark::State& state) {
+    run_lut_backward(state, 8, 128, 128, 1152, 2);
+}
+BENCHMARK(BM_LutBackwardGemmRetrain)->Unit(benchmark::kMicrosecond);
 
 void BM_BuildDifferenceGrad(benchmark::State& state) {
     const unsigned bits = static_cast<unsigned>(state.range(0));

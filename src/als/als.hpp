@@ -27,6 +27,12 @@
 
 namespace amret::als {
 
+/// Version of the synthesis algorithm. It is part of the registry's on-disk
+/// netlist cache key (appmult/registry.cpp): bump it with any change that
+/// can alter what synthesize() returns, so a netlist cached by an older
+/// algorithm is never reused.
+inline constexpr int kAlgorithmVersion = 1;
+
 /// Knobs for one synthesis run.
 struct AlsOptions {
     /// NMED budget as a fraction (e.g. 0.0028 for the paper's 0.28%).

@@ -125,8 +125,10 @@ std::string cache_path_for(const MultiplierInfo& info) {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) return {};
-    // Fingerprint the synthesis options so stale caches never resurface.
-    std::string tag = "_b" + std::to_string(static_cast<int>(info.als_nmed_budget * 1e5));
+    // Fingerprint the algorithm version and the synthesis options so stale
+    // caches never resurface.
+    std::string tag = "_v" + std::to_string(als::kAlgorithmVersion) + "_b" +
+                      std::to_string(static_cast<int>(info.als_nmed_budget * 1e5));
     if (info.als_wire_substitution) tag += "w";
     if (info.als_zero_preserving) tag += "z";
     return dir + "/" + info.name + tag + ".netlist";
@@ -157,36 +159,45 @@ void Registry::build_circuit(Entry& e) {
                                      e.info.name + "' is malformed");
         return;
     }
+    const auto synthesize = [&e] {
+        util::log_info("synthesizing ", e.info.name, " (ALS, NMED budget ",
+                       e.info.als_nmed_budget, ") ...");
+        als::AlsOptions options;
+        options.nmed_budget = e.info.als_nmed_budget;
+        options.enable_wire_substitution = e.info.als_wire_substitution;
+        if (e.info.als_zero_preserving)
+            options.protected_patterns = als::multiplier_zero_patterns(e.info.bits);
+        const auto exact = multgen::build_netlist(multgen::exact_spec(e.info.bits));
+        auto result = als::synthesize(exact, options);
+        util::log_info("  ", e.info.name, ": ", result.moves, " rewrites, area ",
+                       result.area_before_um2, " -> ", result.area_after_um2,
+                       " um^2, NMED ", result.metrics.nmed);
+        if (!circuit_is_well_formed(result.netlist, e.info.bits))
+            throw std::runtime_error("registry: synthesized netlist for '" +
+                                     e.info.name + "' is malformed");
+        return std::move(result.netlist);
+    };
     const std::string cache = cache_path_for(e.info);
-    if (!cache.empty()) {
-        if (auto cached = netlist::load_netlist(cache)) {
-            if (circuit_is_well_formed(*cached, e.info.bits)) {
+    if (cache.empty()) {
+        e.circuit = synthesize();
+        return;
+    }
+    // Parallel processes (ctest -j, benches) share the cache: load_or_build
+    // lets one of them synthesize a missing entry while the others wait on
+    // its lock file and then load the published netlist.
+    e.circuit = netlist::load_or_build(
+        cache,
+        [&e](const netlist::Netlist& nl) {
+            if (circuit_is_well_formed(nl, e.info.bits)) {
                 util::log_debug("loaded ", e.info.name, " from cache");
-                e.circuit = std::move(*cached);
-                return;
+                return true;
             }
             // A corrupt cache is recoverable: drop it and resynthesize.
             util::log_warn("cached netlist for ", e.info.name,
                            " is malformed; resynthesizing");
-        }
-    }
-    util::log_info("synthesizing ", e.info.name, " (ALS, NMED budget ",
-                   e.info.als_nmed_budget, ") ...");
-    als::AlsOptions options;
-    options.nmed_budget = e.info.als_nmed_budget;
-    options.enable_wire_substitution = e.info.als_wire_substitution;
-    if (e.info.als_zero_preserving)
-        options.protected_patterns = als::multiplier_zero_patterns(e.info.bits);
-    const auto exact = multgen::build_netlist(multgen::exact_spec(e.info.bits));
-    auto result = als::synthesize(exact, options);
-    util::log_info("  ", e.info.name, ": ", result.moves, " rewrites, area ",
-                   result.area_before_um2, " -> ", result.area_after_um2,
-                   " um^2, NMED ", result.metrics.nmed);
-    if (!circuit_is_well_formed(result.netlist, e.info.bits))
-        throw std::runtime_error("registry: synthesized netlist for '" +
-                                 e.info.name + "' is malformed");
-    if (!cache.empty()) netlist::save_netlist(result.netlist, cache);
-    e.circuit = std::move(result.netlist);
+            return false;
+        },
+        synthesize);
 }
 
 const netlist::Netlist& Registry::circuit(const std::string& name) {

@@ -180,7 +180,8 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
     // Weight codes are re-packed into pre-shifted panels and the activation
     // codes are produced by the fused im2col+quantize packer — the full
     // (P, patch) float column buffer never exists. The row-major clamp masks
-    // stay in st for the backward epilogues.
+    // stay in st for the backward epilogues; the backward sweep reads the
+    // row-major code mirrors both panel operands carry.
     const std::int64_t positions = st.geom.positions();
     const kernels::Tuning& tiles = kernels::Tuning::current();
     st.wpan = kernels::pack_weight_panels(
@@ -224,9 +225,9 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) gx_raw[i] = 0.0f;
     });
-    kernels::lut_backward_blocked(gemm_args(st), gyp, mult_.grad->dw_table().data(),
-                                  mult_.grad->dx_table().data(), gw_raw, gx_raw,
-                                  st.ws);
+    kernels::lut_backward_blocked(gemm_args(st), gyp,
+                                  mult_.grad->pair_table().data(), gw_raw,
+                                  gx_raw);
 
     // Eq. (9): fold in the quantizer derivative. dW/dw = 1/s_w inside the
     // clamp range (0 outside); dy/dY contributed s_w*s_x, so the weight
@@ -385,9 +386,8 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
     });
     Tensor gx(Shape{st.batch, in_features_}); // zero-initialized
     kernels::lut_backward_blocked(gemm_args(st), gy.data(),
-                                  mult_.grad->dw_table().data(),
-                                  mult_.grad->dx_table().data(), gw_raw, gx.data(),
-                                  st.ws);
+                                  mult_.grad->pair_table().data(), gw_raw,
+                                  gx.data());
 
     float* wg = ctx.grad(weight).data();
     runtime::parallel_for(0, nw,

@@ -25,6 +25,11 @@ GradLut::GradLut(unsigned bits, std::vector<float> d_dw, std::vector<float> d_dx
     [[maybe_unused]] const std::size_t expected = std::size_t{1} << (2 * bits);
     assert(d_dw_.size() == expected);
     assert(d_dx_.size() == expected);
+    pairs_.resize(2 * d_dx_.size());
+    for (std::size_t i = 0; i < d_dx_.size(); ++i) {
+        pairs_[2 * i] = d_dx_[i];
+        pairs_[2 * i + 1] = d_dw_[i];
+    }
 }
 
 bool GradLut::save(const std::string& path) const {

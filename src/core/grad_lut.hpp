@@ -53,6 +53,12 @@ public:
     [[nodiscard]] const std::vector<float>& dw_table() const { return d_dw_; }
     [[nodiscard]] const std::vector<float>& dx_table() const { return d_dx_; }
 
+    /// Both tables interleaved as (∂AM/∂X, ∂AM/∂W) pairs: entry 2i is
+    /// dx_table()[i], entry 2i+1 is dw_table()[i]. Built once at
+    /// construction; the fused LUT backward (kernels::lut_backward_blocked)
+    /// fetches both gradients of one (w, x) with a single 64-bit load.
+    [[nodiscard]] const std::vector<float>& pair_table() const { return pairs_; }
+
     /// Serializes both tables to a small binary file; false on I/O error.
     bool save(const std::string& path) const;
 
@@ -63,6 +69,7 @@ private:
     unsigned bits_ = 0;
     std::vector<float> d_dw_;
     std::vector<float> d_dx_;
+    std::vector<float> pairs_;
 };
 
 /// STE baseline: ∂AM/∂W = X and ∂AM/∂X = W regardless of the AppMult.

@@ -48,12 +48,14 @@ TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
 
 /// Shared skeleton of the fused im2col packers: walks the position rows of
 /// one row-block range, hands each (absolute row, tap index) to \p tap_value
-/// and stores the returned code in its panel slot, accumulating the row-sum
-/// header. Pad slots (rows beyond plan.rows, depth beyond plan.depth) stay 0.
+/// and stores the returned code in its panel slot — and, when \p row_major
+/// is non-null, at the same (row, tap) of that row-major mirror —
+/// accumulating the row-sum header. Pad slots (rows beyond plan.rows, depth
+/// beyond plan.depth) stay 0.
 template <typename TapValue>
 void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
-                     std::int64_t* sums, std::int64_t rb0, std::int64_t rb1,
-                     TapValue&& tap_value) {
+                     std::int64_t* sums, std::uint16_t* row_major,
+                     std::int64_t rb0, std::int64_t rb1, TapValue&& tap_value) {
     const std::int64_t tr = plan.tr, tk = plan.tk;
     const std::int64_t kblocks = plan.depth_blocks();
     for (std::int64_t rb = rb0; rb < rb1; ++rb) {
@@ -62,6 +64,8 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
         const std::int64_t pr = plan.block_rows(rb);
         for (std::int64_t rr = 0; rr < pr; ++rr) {
             const std::int64_t row = rb * tr + rr;
+            std::uint16_t* mirror =
+                row_major ? row_major + row * plan.depth : nullptr;
             std::int64_t sum = 0;
             for (std::int64_t kb = 0; kb < kblocks; ++kb) {
                 std::uint16_t* panel = block + kb * plan.panel_elems();
@@ -70,6 +74,7 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
                 for (std::int64_t kk = 0; kk < kr; ++kk) {
                     const std::uint16_t code = tap_value(row, kbase + kk);
                     panel[kk * tr + rr] = code;
+                    if (mirror) mirror[kbase + kk] = code;
                     sum += code;
                 }
             }
@@ -143,6 +148,7 @@ WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
     pack_weight_panels_into(wq, bits, plan, codes, sums);
     w.codes = codes;
     w.sum_w = sums;
+    w.row_major = wq;
     return w;
 }
 
@@ -156,13 +162,14 @@ ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
+        pack_rows_fused(plan, codes, sums, nullptr, b0, b1,
                         [&](std::int64_t row, std::int64_t kk) {
             return xq[row * plan.depth + kk];
         });
     });
     x.codes = codes;
     x.sum_x = sums;
+    x.row_major = xq;
     return x;
 }
 
@@ -248,7 +255,7 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
+        pack_rows_fused(plan, codes, sums, nullptr, b0, b1,
                         [&](std::int64_t row, std::int64_t t) -> std::uint16_t {
             const std::int64_t n = row / spatial, s = row % spatial;
             const std::int64_t oy = s / ow, ox = s % ow;
@@ -279,13 +286,14 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
     out.plan = plan;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
+    std::uint16_t* row_major = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
     const std::int64_t oh = geom.out_h(), ow = geom.out_w();
     const std::int64_t spatial = oh * ow;
     const std::int64_t chw = geom.in_ch * geom.in_h * geom.in_w;
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
+        pack_rows_fused(plan, codes, sums, row_major, b0, b1,
                         [&](std::int64_t row, std::int64_t t) -> std::uint16_t {
             const std::int64_t n = row / spatial, s = row % spatial;
             const std::int64_t oy = s / ow, ox = s % ow;
@@ -303,6 +311,7 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
     });
     out.codes = codes;
     out.sum_x = sums;
+    out.row_major = row_major;
     attach_packed4(out, params.bits, ws);
     return out;
 }
@@ -316,10 +325,11 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     out.plan = plan;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
+    std::uint16_t* row_major = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
+        pack_rows_fused(plan, codes, sums, row_major, b0, b1,
                         [&](std::int64_t row, std::int64_t kk) -> std::uint16_t {
             const float v = src[row * plan.depth + kk];
             in_range[row * plan.depth + kk] = params.in_range(v) ? 1 : 0;
@@ -328,6 +338,7 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     });
     out.codes = codes;
     out.sum_x = sums;
+    out.row_major = row_major;
     attach_packed4(out, params.bits, ws);
     return out;
 }

@@ -98,6 +98,12 @@ struct WeightPanels {
     PanelPlan plan;
     const std::uint32_t* codes = nullptr;
     const std::int64_t* sum_w = nullptr;
+    /// The un-shifted row-major (plan.rows x plan.depth) codes the panels
+    /// were packed from — the k-contiguous operand of the fused backward
+    /// sweep (lut_backward_blocked). pack_weight_panels aliases its input
+    /// here (valid while that buffer is); null when packed into caller
+    /// storage (the integer engine never runs a backward).
+    const std::uint16_t* row_major = nullptr;
 };
 
 /// Blocked activation operand with its hoisted row-sum header (length
@@ -114,6 +120,13 @@ struct ActPanels {
     /// the quantizing packers when the operand is <= 4-bit (or explicitly
     /// via attach_packed4); null otherwise.
     const std::uint8_t* packed4 = nullptr;
+    /// Row-major (plan.rows x plan.depth) mirror of `codes` — the
+    /// k-contiguous operand of the fused backward sweep
+    /// (lut_backward_blocked). Written by the training packers
+    /// (quantize_im2col_panels, quantize_into_panels) next to their clamp
+    /// masks; pack_activation_panels aliases its row-major input. Null from
+    /// pack_im2col_panels_u8 (the integer engine never runs a backward).
+    const std::uint16_t* row_major = nullptr;
 };
 
 /// Builds the nibble-packed mirror of \p x when eligible (bits <= 4 and
@@ -129,11 +142,13 @@ void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
                              const PanelPlan& plan, std::uint32_t* codes,
                              std::int64_t* sum_w);
 
-/// Workspace-backed variant of pack_weight_panels_into.
+/// Workspace-backed variant of pack_weight_panels_into; the result's
+/// row_major aliases \p wq.
 WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
                                 const PanelPlan& plan, Workspace& ws);
 
-/// Packs row-major activation codes into workspace-backed panels + header.
+/// Packs row-major activation codes into workspace-backed panels + header;
+/// the result's row_major aliases \p xq.
 ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
                                  Workspace& ws);
 
@@ -160,16 +175,18 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
 
 /// Fused im2col + quantize + pack for the training path: gathers each float
 /// tap of the NCHW input (zero padding), quantizes it under \p params and
-/// writes the code straight into its panel slot. \p in_range (caller-owned,
-/// positions x patch row-major) receives the clamp-STE mask the backward
-/// pass consumes. Parallel over position blocks.
+/// writes the code straight into its panel slot and into the
+/// workspace-backed row-major mirror (ActPanels::row_major). \p in_range
+/// (caller-owned, positions x patch row-major) receives the clamp-STE mask
+/// the backward pass consumes. Parallel over position blocks.
 ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, std::uint8_t* in_range,
                                  Workspace& ws);
 
 /// Fused quantize + pack of a row-major float matrix (the ApproxLinear
-/// activation path). \p in_range is row-major (plan.rows x plan.depth).
+/// activation path), with the same row-major code mirror. \p in_range is
+/// row-major (plan.rows x plan.depth).
 ActPanels quantize_into_panels(const float* src, const quant::QuantParams& params,
                                const PanelPlan& plan, std::uint8_t* in_range,
                                Workspace& ws);

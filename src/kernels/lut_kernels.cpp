@@ -77,175 +77,64 @@ void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
     });
 }
 
+namespace {
+
+/// The scalar sweep over depth columns [k0, k1): the scalar-dispatch path
+/// of lut_backward_blocked, and the finisher of the columns a SIMD leaf
+/// leaves (simd::backward_columns).
+void backward_columns_scalar(const BlockedGemmArgs& args, const float* gyp,
+                             const float* grad_pairs, std::int64_t k0,
+                             std::int64_t k1, float* gw_raw, float* gx_raw) {
+    const std::int64_t o_rows = args.o, depth = args.k;
+    const float zx = static_cast<float>(args.zero_x);
+    for (std::int64_t pp = 0; pp < args.p; ++pp) {
+        const std::uint16_t* xrow = args.x.row_major + pp * depth;
+        const float* gyrow = gyp + pp * o_rows;
+        float* gxrow = gx_raw + pp * depth;
+        for (std::int64_t oo = 0; oo < o_rows; ++oo) {
+            const float g = gyrow[oo];
+            if (g == 0.0f) continue;
+            const float gs = g * args.row_scale_w(oo);
+            const float zw = static_cast<float>(args.row_zero_w(oo));
+            const std::uint16_t* wrow = args.w.row_major + oo * depth;
+            float* gwrow = gw_raw + oo * depth;
+            for (std::int64_t kk = k0; kk < k1; ++kk) {
+                const float* pair =
+                    grad_pairs +
+                    2 * ((static_cast<std::uint32_t>(wrow[kk]) << args.bits) |
+                         xrow[kk]);
+                gxrow[kk] += gs * (pair[0] - zw);
+                gwrow[kk] += g * (pair[1] - zx);
+            }
+        }
+    }
+}
+
+} // namespace
+
 void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
-                          const float* grad_w_lut, const float* grad_x_lut,
-                          float* gw_raw, float* gx_raw, Workspace& ws) {
+                          const float* grad_pairs, float* gw_raw, float* gx_raw) {
     AMRET_OBS_SPAN("kernels.lut_backward_blocked");
     AMRET_OBS_COUNT("kernels.gemm.backward_rows", args.p);
-    const PanelPlan& xp = args.x.plan;
-    const PanelPlan& wp = args.w.plan;
-    assert(xp.depth == wp.depth && xp.tk == wp.tk);
-    const std::int64_t o_rows = args.o, p_rows = args.p, depth = args.k;
-    const std::int64_t tp = xp.tr, to = wp.tr, tk = xp.tk;
-    const std::int64_t kblocks = xp.depth_blocks();
-    const float zx = static_cast<float>(args.zero_x);
-
-    // Activation gradients: one chunk owns each gx row. Every element
-    // gx[p, k] accumulates over output channels in globally ascending o: the
-    // nonzero output gradients of the row are compacted once, in ascending o,
-    // and replayed per depth index — the same additions of the same float
-    // products in the same order as the naive reference, i.e. bitwise-
-    // identical. The panel layout
-    // makes the weight read at fixed k unit-stride across the o lane
-    // (wv = codes[panel + kk*to + lane]), and the compaction lists keep the
-    // hot gradient-LUT rows resident.
-    {
-        const std::int64_t grain =
-            runtime::grain_for(p_rows, tune::kGrainGemmRows);
-        const std::int64_t chunks = runtime::chunk_count(0, p_rows, grain);
-        // Per-chunk compaction scratch: panel offset, gradient, zero point
-        // and scale of every nonzero-gradient output channel.
-        std::int64_t* nz_off = ws.alloc<std::int64_t>(chunks * o_rows);
-        float* nz_g = ws.alloc<float>(chunks * o_rows);
-        float* nz_zw = ws.alloc<float>(chunks * o_rows);
-        float* nz_s = ws.alloc<float>(chunks * o_rows);
-        runtime::parallel_for_chunks(0, p_rows, grain,
-                                     [&](std::int64_t pb, std::int64_t pe,
-                                         std::size_t chunk) {
-            std::int64_t* off = nz_off + static_cast<std::int64_t>(chunk) * o_rows;
-            float* g = nz_g + static_cast<std::int64_t>(chunk) * o_rows;
-            float* zw = nz_zw + static_cast<std::int64_t>(chunk) * o_rows;
-            float* s = nz_s + static_cast<std::int64_t>(chunk) * o_rows;
-            for (std::int64_t pp = pb; pp < pe; ++pp) {
-                const float* gyrow = gyp + pp * o_rows;
-                std::int64_t cnt = 0;
-                for (std::int64_t oo = 0; oo < o_rows; ++oo) {
-                    if (gyrow[oo] == 0.0f) continue;
-                    // Panel-relative part of the weight address at depth 0;
-                    // the kk term (kk * to) is added in the inner loop.
-                    off[cnt] = wp.panel_offset(oo / to, 0) + oo % to;
-                    g[cnt] = gyrow[oo];
-                    zw[cnt] = static_cast<float>(args.row_zero_w(oo));
-                    s[cnt] = args.row_scale_w(oo);
-                    ++cnt;
-                }
-                if (cnt == 0) continue;
-                const std::int64_t rb = pp / tp, pr_rel = pp % tp;
-                float* gxrow = gx_raw + pp * depth;
-                for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-                    const std::uint16_t* xpan =
-                        args.x.codes + xp.panel_offset(rb, kb);
-                    // All weight panels share the panel-row layout, so the
-                    // depth-block hop is a constant offset per channel.
-                    const std::int64_t kb_off = kb * wp.panel_elems();
-                    const std::int64_t kr = xp.block_depth(kb);
-                    const std::int64_t kbase = kb * tk;
-                    // Depth indices are independent lanes, so the SIMD walk
-                    // (kernels::simd) vectorizes across kk while replaying
-                    // the compacted gradients serially per lane — same float
-                    // ops, same order, bitwise-identical.
-                    simd::GradXBlockArgs ga;
-                    ga.wcodes = args.w.codes;
-                    ga.xpan = xpan;
-                    ga.grad_x_lut = grad_x_lut;
-                    ga.off = off;
-                    ga.g = g;
-                    ga.zw = zw;
-                    ga.s = s;
-                    ga.cnt = cnt;
-                    ga.kb_off = kb_off;
-                    ga.kr = kr;
-                    ga.to = to;
-                    ga.tp = tp;
-                    ga.pr_rel = pr_rel;
-                    ga.kbase = kbase;
-                    ga.gxrow = gxrow;
-                    if (simd::grad_x_block(ga)) continue;
-                    for (std::int64_t kk = 0; kk < kr; ++kk) {
-                        const std::uint32_t xc = xpan[kk * tp + pr_rel];
-                        const std::int64_t kk_off = kb_off + kk * to;
-                        float acc = gxrow[kbase + kk];
-                        for (std::int64_t j = 0; j < cnt; ++j) {
-                            const std::uint32_t idx =
-                                args.w.codes[off[j] + kk_off] | xc;
-                            acc += g[j] * s[j] * (grad_x_lut[idx] - zw[j]);
-                        }
-                        gxrow[kbase + kk] = acc;
-                    }
-                }
-            }
-        });
-    }
-
-    // Weight gradients: one chunk owns each gw row. Every element gw[o, k]
-    // accumulates over positions in globally ascending p: each position
-    // block's nonzero gradients are compacted in ascending p and replayed
-    // per depth index — identical order, identical float ops.
-    // The activation panel read at fixed k is unit-stride across the
-    // position lane.
-    {
-        const std::int64_t grain =
-            runtime::grain_for(o_rows, tune::kGrainChannel);
-        const std::int64_t chunks = runtime::chunk_count(0, o_rows, grain);
-        std::int64_t* nz_pp = ws.alloc<std::int64_t>(chunks * tp);
-        float* nz_g = ws.alloc<float>(chunks * tp);
-        runtime::parallel_for_chunks(0, o_rows, grain,
-                                     [&](std::int64_t ob, std::int64_t oe,
-                                         std::size_t chunk) {
-            std::int64_t* pidx = nz_pp + static_cast<std::int64_t>(chunk) * tp;
-            float* pg = nz_g + static_cast<std::int64_t>(chunk) * tp;
-            for (std::int64_t oo = ob; oo < oe; ++oo) {
-                const std::int64_t wrb = oo / to, orel = oo % to;
-                float* gwrow = gw_raw + oo * depth;
-                for (std::int64_t rb = 0; rb < xp.row_blocks(); ++rb) {
-                    const std::int64_t pbase = rb * tp;
-                    const std::int64_t pr = xp.block_rows(rb);
-                    std::int64_t cnt = 0;
-                    for (std::int64_t pp = 0; pp < pr; ++pp) {
-                        const float gv = gyp[(pbase + pp) * o_rows + oo];
-                        if (gv == 0.0f) continue;
-                        pidx[cnt] = pp;
-                        pg[cnt] = gv;
-                        ++cnt;
-                    }
-                    if (cnt == 0) continue;
-                    for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-                        const std::uint16_t* xpan =
-                            args.x.codes + xp.panel_offset(rb, kb);
-                        const std::uint32_t* wpan =
-                            args.w.codes + wp.panel_offset(wrb, kb);
-                        const std::int64_t kr = xp.block_depth(kb);
-                        const std::int64_t kbase = kb * tk;
-                        simd::GradWBlockArgs ga;
-                        ga.wpan = wpan;
-                        ga.xpan = xpan;
-                        ga.grad_w_lut = grad_w_lut;
-                        ga.pidx = pidx;
-                        ga.pg = pg;
-                        ga.cnt = cnt;
-                        ga.kr = kr;
-                        ga.to = to;
-                        ga.tp = tp;
-                        ga.orel = orel;
-                        ga.kbase = kbase;
-                        ga.zx = zx;
-                        ga.gwrow = gwrow;
-                        if (simd::grad_w_block(ga)) continue;
-                        for (std::int64_t kk = 0; kk < kr; ++kk) {
-                            const std::uint32_t wshift = wpan[kk * to + orel];
-                            const std::uint16_t* xv = xpan + kk * tp;
-                            float acc = gwrow[kbase + kk];
-                            for (std::int64_t j = 0; j < cnt; ++j) {
-                                const std::uint32_t idx = wshift | xv[pidx[j]];
-                                acc += pg[j] * (grad_w_lut[idx] - zx);
-                            }
-                            gwrow[kbase + kk] = acc;
-                        }
-                    }
-                }
-            }
-        });
-    }
+    assert(args.w.row_major && args.x.row_major &&
+           "the backward sweep reads the row-major code mirrors");
+    const std::int64_t depth = args.k;
+    const std::int64_t groups =
+        (depth + tune::kBackwardGroup - 1) / tune::kBackwardGroup;
+    // Depth chunks write disjoint gx/gw columns, and inside each chunk every
+    // element keeps its defining order (p outer for gw, o inner for gx), so
+    // the split never changes a bit.
+    runtime::parallel_for(0, groups,
+                          runtime::grain_for(groups, tune::kGrainBackwardGroups),
+                          [&](std::int64_t g0, std::int64_t g1) {
+        const std::int64_t k0 = g0 * tune::kBackwardGroup;
+        const std::int64_t k1 = std::min(g1 * tune::kBackwardGroup, depth);
+        const std::int64_t done = simd::backward_columns(args, gyp, grad_pairs,
+                                                         k0, k1, gw_raw, gx_raw);
+        if (done < k1)
+            backward_columns_scalar(args, gyp, grad_pairs, done, k1, gw_raw,
+                                    gx_raw);
+    });
 }
 
 } // namespace amret::kernels

@@ -1,15 +1,28 @@
 /// \file lut_kernels.hpp
-/// \brief The LUT-GEMM kernels (forward, grad-X, grad-W) over blocked panels.
+/// \brief The LUT-GEMM kernels: forward over blocked panels, and the fused
+/// one-sweep backward over k-contiguous codes.
 ///
 /// These are the CPU equivalents of the paper's CUDA kernels and the single
 /// implementation of the Fig. 4 dataflow: the forward kernel replaces every
 /// multiply-accumulate with a product-LUT lookup and applies the Eq. (8)
 /// zero-point correction; the backward kernel replaces the multiplier
 /// derivative with gradient-LUT lookups (Eq. 9). ApproxConv2d, ApproxLinear
-/// and the integer inference engine all run on them; operands come
+/// and the integer inference engine all run on them; forward operands come
 /// pre-tiled as panels (layout.hpp) with the Eq. (8) row sums hoisted into
 /// the panel headers, and the per-tile accumulation runs through the SIMD
 /// dispatch seam (kernels/simd).
+///
+/// The backward is one sweep. Grad-X and grad-W of Eq. (9) look up the same
+/// index (w << bits) | x, so both gradients come from one load of an
+/// interleaved (∂AM/∂X, ∂AM/∂W) pair table (core::GradLut::pair_table()).
+/// The sweep reads the row-major code mirrors the panels carry
+/// (WeightPanels::row_major, ActPanels::row_major), so vector lanes run
+/// along contiguous depth and no operand is gathered. Loop order: positions
+/// p ascending (outer), the nonzero output gradients of row p in ascending
+/// o (inner), lanes across depth k. Each gx[p, k] then sums over ascending
+/// o and each gw[o, k] over ascending p — both defining orders at once.
+/// Depth columns are independent, so the parallel split is over depth
+/// chunks (whole tune::kBackwardGroup column groups).
 ///
 /// Blocking never changes results, and every kernel memcmp-matches the
 /// order-faithful naive reference over row-major codes that lives in
@@ -134,13 +147,17 @@ void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
 /// Backward: accumulates the multiplier-gradient sums
 ///   gw_raw[o, k] += sum_p gyp[p, o] * (gradW[w,x] - Z_x)
 ///   gx_raw[p, k] += sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
-/// into row-major buffers the caller zero-initializes. The weight scale is
-/// folded into gx_raw (it varies per row in per-channel mode); the remaining
-/// factors — s_x for gw, and the clamp masks — are applied by the caller
-/// (see ApproxConv2d::backward_quant). Scratch for the per-row
-/// nonzero-gradient compaction comes from \p ws.
+/// into row-major buffers the caller zero-initializes, in one sweep over
+/// the row-major code mirrors args.w.row_major / args.x.row_major (both
+/// required). \p grad_pairs is the interleaved gradient table
+/// (core::GradLut::pair_table(): 2 * 2^(2*bits) floats, (dX, dW) per
+/// index). Upstream gradients equal to zero (either sign) are skipped. The
+/// weight scale is folded into gx_raw (it varies per row in per-channel
+/// mode); the remaining factors — s_x for gw, and the clamp masks — are
+/// applied by the caller (see ApproxConv2d::backward_quant). Parallel over
+/// depth chunks; each chunk runs the SIMD dispatch leaf and finishes any
+/// columns it leaves in the scalar loop.
 void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
-                          const float* grad_w_lut, const float* grad_x_lut,
-                          float* gw_raw, float* gx_raw, Workspace& ws);
+                          const float* grad_pairs, float* gw_raw, float* gx_raw);
 
 } // namespace amret::kernels

@@ -52,7 +52,9 @@ bool cpu_supports(Isa isa) {
     case Isa::kScalar: return true;
     case Isa::kSsse3: return __builtin_cpu_supports("ssse3") != 0;
     case Isa::kAvx2: return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kAvx512: return __builtin_cpu_supports("avx512f") != 0;
+    case Isa::kAvx512:
+        return __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("avx512bw") != 0;
     }
     return false;
 #else
@@ -198,18 +200,22 @@ bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
     return false;
 }
 
-bool grad_x_block(const GradXBlockArgs& a) {
-    if (select() < Isa::kAvx2) return false;
-    detail::grad_x_block_avx2(a);
-    AMRET_OBS_COUNT("kernels.simd.grad_x_blocks.avx2", 1);
-    return true;
-}
-
-bool grad_w_block(const GradWBlockArgs& a) {
-    if (select() < Isa::kAvx2) return false;
-    detail::grad_w_block_avx2(a);
-    AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx2", 1);
-    return true;
+std::int64_t backward_columns(const BlockedGemmArgs& a, const float* gyp,
+                              const float* pairs, std::int64_t k0,
+                              std::int64_t k1, float* gw_raw, float* gx_raw) {
+    switch (select()) {
+    case Isa::kAvx2:
+        AMRET_OBS_COUNT("kernels.simd.backward_blocks.avx2", 1);
+        return detail::backward_columns_avx2(a, gyp, pairs, k0, k1, gw_raw,
+                                             gx_raw);
+    case Isa::kAvx512:
+        AMRET_OBS_COUNT("kernels.simd.backward_blocks.avx512", 1);
+        return detail::backward_columns_avx512(a, gyp, pairs, k0, k1, gw_raw,
+                                               gx_raw);
+    case Isa::kScalar:
+    case Isa::kSsse3: break;
+    }
+    return k0;
 }
 
 } // namespace amret::kernels::simd

@@ -6,15 +6,16 @@
 ///   - vector gathers unlock the wide-operand forward: 8 activation codes
 ///     are widened, OR'd with the pre-shifted weight code and gathered from
 ///     the product LUT, accumulating in 4+4 independent int64 lanes;
-///   - the backward gradient-LUT walks vectorize across 8 depth lanes while
-///     the compacted nonzero-gradient replay stays serial per lane.
+///   - the fused backward sweep runs 8 depth lanes per vector with two
+///     64-bit (dX, dW) pair gathers per vector; it covers whole vectors and
+///     leaves the ragged depth tail to the scalar loop of lut_kernels.cpp.
 ///
 /// -ffp-contract=off is part of the numerical contract, not an
-/// optimization knob: the scalar tails below repeat the oracle's
-/// mul-then-add float expressions, and under -mavx2 GCC would otherwise
-/// contract them into FMAs that round differently than the oracle built
-/// without AVX2. The vector paths use explicit mul/add intrinsics, which
-/// are never contracted.
+/// optimization knob: the scalar per-channel product (g * s_w) and any
+/// scalar float expression here must round like the oracle built without
+/// AVX2, and under -mavx2 GCC would otherwise be free to contract
+/// mul-then-add into FMAs. The vector paths use explicit mul/add
+/// intrinsics, which are never contracted.
 
 #include "kernels/simd/simd_internal.hpp"
 
@@ -94,85 +95,78 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
-void grad_x_block_avx2(const GradXBlockArgs& a) {
-    const std::int64_t kvec = a.kr & ~std::int64_t{7};
-    const int to32 = static_cast<int>(a.to);
-    const __m256i ito = _mm256_setr_epi32(0, to32, 2 * to32, 3 * to32,
-                                          4 * to32, 5 * to32, 6 * to32,
-                                          7 * to32);
-    for (std::int64_t kk0 = 0; kk0 < kvec; kk0 += 8) {
-        alignas(32) std::int32_t xc[8];
-        for (int i = 0; i < 8; ++i) {
-            xc[i] = static_cast<std::int32_t>(
-                a.xpan[(kk0 + i) * a.tp + a.pr_rel]);
+namespace {
+
+/// One sweep over the NV * 8 depth columns starting at \p c0 (all full).
+template <int NV>
+void backward_tile(const BlockedGemmArgs& a, const float* gyp,
+                   const float* pairs, std::int64_t c0, float* gw_raw,
+                   float* gx_raw) {
+    const std::int64_t o_rows = a.o, depth = a.k;
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
+    const __m256 zxv = _mm256_set1_ps(static_cast<float>(a.zero_x));
+    const auto codes = [](const std::uint16_t* src) {
+        return _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src)));
+    };
+    const auto* table = reinterpret_cast<const long long*>(pairs);
+    for (std::int64_t pp = 0; pp < a.p; ++pp) {
+        const std::uint16_t* xrow = a.x.row_major + pp * depth + c0;
+        const float* gyrow = gyp + pp * o_rows;
+        float* gxrow = gx_raw + pp * depth + c0;
+        __m256 gxa[NV];
+        for (int v = 0; v < NV; ++v) gxa[v] = _mm256_loadu_ps(gxrow + 8 * v);
+        for (std::int64_t oo = 0; oo < o_rows; ++oo) {
+            const float g = gyrow[oo];
+            if (g == 0.0f) continue;
+            const __m256 gv = _mm256_set1_ps(g);
+            const __m256 gsv = _mm256_set1_ps(g * a.row_scale_w(oo));
+            const __m256 zwv =
+                _mm256_set1_ps(static_cast<float>(a.row_zero_w(oo)));
+            const std::uint16_t* wrow = a.w.row_major + oo * depth + c0;
+            float* gwrow = gw_raw + oo * depth + c0;
+            for (int v = 0; v < NV; ++v) {
+                // Lanes (0,1,4,5 | 2,3,6,7) so one in-lane shuffle of the
+                // two pair gathers yields dX and dW in depth order.
+                const __m256i idx = _mm256_permute4x64_epi64(
+                    _mm256_or_si256(_mm256_sll_epi32(codes(wrow + 8 * v), shift),
+                                    codes(xrow + 8 * v)),
+                    _MM_SHUFFLE(3, 1, 2, 0));
+                const __m256 lo = _mm256_castsi256_ps(_mm256_i32gather_epi64(
+                    table, _mm256_castsi256_si128(idx), 8));
+                const __m256 hi = _mm256_castsi256_ps(_mm256_i32gather_epi64(
+                    table, _mm256_extracti128_si256(idx, 1), 8));
+                const __m256 dx = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
+                const __m256 dw = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1));
+                // Oracle expressions per lane, explicit mul then add:
+                // gx + (g*s) * (dX - Zw) and gw + g * (dW - Zx).
+                gxa[v] = _mm256_add_ps(
+                    gxa[v], _mm256_mul_ps(gsv, _mm256_sub_ps(dx, zwv)));
+                float* gwv = gwrow + 8 * v;
+                _mm256_storeu_ps(
+                    gwv, _mm256_add_ps(_mm256_loadu_ps(gwv),
+                                       _mm256_mul_ps(gv, _mm256_sub_ps(dw, zxv))));
+            }
         }
-        const __m256i xcv =
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(xc));
-        __m256 accv = _mm256_loadu_ps(a.gxrow + a.kbase + kk0);
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t* wbase =
-                a.wcodes + a.off[j] + a.kb_off + kk0 * a.to;
-            const __m256i wv = _mm256_i32gather_epi32(
-                reinterpret_cast<const int*>(wbase), ito, 4);
-            const __m256i idx = _mm256_or_si256(wv, xcv);
-            const __m256 lutv = _mm256_i32gather_ps(a.grad_x_lut, idx, 4);
-            // Oracle order per lane: gs = g*s, then gs * (lut - zw), then
-            // add — explicit mul/add intrinsics, never FMA-contracted.
-            const float gs = a.g[j] * a.s[j];
-            accv = _mm256_add_ps(
-                accv, _mm256_mul_ps(_mm256_set1_ps(gs),
-                                    _mm256_sub_ps(lutv,
-                                                  _mm256_set1_ps(a.zw[j]))));
-        }
-        _mm256_storeu_ps(a.gxrow + a.kbase + kk0, accv);
-    }
-    for (std::int64_t kk = kvec; kk < a.kr; ++kk) {
-        const std::uint32_t xcs = a.xpan[kk * a.tp + a.pr_rel];
-        const std::int64_t kk_off = a.kb_off + kk * a.to;
-        float acc = a.gxrow[a.kbase + kk];
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t idx = a.wcodes[a.off[j] + kk_off] | xcs;
-            acc += a.g[j] * a.s[j] * (a.grad_x_lut[idx] - a.zw[j]);
-        }
-        a.gxrow[a.kbase + kk] = acc;
+        for (int v = 0; v < NV; ++v) _mm256_storeu_ps(gxrow + 8 * v, gxa[v]);
     }
 }
 
-void grad_w_block_avx2(const GradWBlockArgs& a) {
-    const std::int64_t kvec = a.kr & ~std::int64_t{7};
-    const int to32 = static_cast<int>(a.to);
-    const __m256i ito = _mm256_setr_epi32(0, to32, 2 * to32, 3 * to32,
-                                          4 * to32, 5 * to32, 6 * to32,
-                                          7 * to32);
-    for (std::int64_t kk0 = 0; kk0 < kvec; kk0 += 8) {
-        const std::uint32_t* wb = a.wpan + kk0 * a.to + a.orel;
-        const __m256i wv = _mm256_i32gather_epi32(
-            reinterpret_cast<const int*>(wb), ito, 4);
-        __m256 accv = _mm256_loadu_ps(a.gwrow + a.kbase + kk0);
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint16_t* xb = a.xpan + kk0 * a.tp + a.pidx[j];
-            alignas(32) std::int32_t xc[8];
-            for (int i = 0; i < 8; ++i)
-                xc[i] = static_cast<std::int32_t>(xb[i * a.tp]);
-            const __m256i idx = _mm256_or_si256(
-                wv, _mm256_load_si256(reinterpret_cast<const __m256i*>(xc)));
-            const __m256 lutv = _mm256_i32gather_ps(a.grad_w_lut, idx, 4);
-            accv = _mm256_add_ps(
-                accv, _mm256_mul_ps(_mm256_set1_ps(a.pg[j]),
-                                    _mm256_sub_ps(lutv,
-                                                  _mm256_set1_ps(a.zx))));
-        }
-        _mm256_storeu_ps(a.gwrow + a.kbase + kk0, accv);
-    }
-    for (std::int64_t kk = kvec; kk < a.kr; ++kk) {
-        const std::uint32_t wshift = a.wpan[kk * a.to + a.orel];
-        const std::uint16_t* xv = a.xpan + kk * a.tp;
-        float acc = a.gwrow[a.kbase + kk];
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t idx = wshift | xv[a.pidx[j]];
-            acc += a.pg[j] * (a.grad_w_lut[idx] - a.zx);
-        }
-        a.gwrow[a.kbase + kk] = acc;
+} // namespace
+
+std::int64_t backward_columns_avx2(const BlockedGemmArgs& a, const float* gyp,
+                                   const float* pairs, std::int64_t k0,
+                                   std::int64_t k1, float* gw_raw,
+                                   float* gx_raw) {
+    constexpr int kWide = 4; // vectors per full-width sweep
+    std::int64_t c = k0;
+    for (; k1 - c >= 8 * kWide; c += 8 * kWide)
+        backward_tile<kWide>(a, gyp, pairs, c, gw_raw, gx_raw);
+    switch ((k1 - c) / 8) {
+    case 1: backward_tile<1>(a, gyp, pairs, c, gw_raw, gx_raw); return c + 8;
+    case 2: backward_tile<2>(a, gyp, pairs, c, gw_raw, gx_raw); return c + 16;
+    case 3: backward_tile<3>(a, gyp, pairs, c, gw_raw, gx_raw); return c + 24;
+    default: return c;
     }
 }
 
@@ -189,8 +183,11 @@ void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
 void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
-void grad_x_block_avx2(const GradXBlockArgs&) {}
-void grad_w_block_avx2(const GradWBlockArgs&) {}
+std::int64_t backward_columns_avx2(const BlockedGemmArgs&, const float*,
+                                   const float*, std::int64_t k0, std::int64_t,
+                                   float*, float*) {
+    return k0;
+}
 
 } // namespace amret::kernels::simd::detail
 

@@ -1,9 +1,9 @@
 /// \file simd.hpp
-/// \brief Runtime-dispatched SIMD kernels for the blocked LUT-GEMM family.
+/// \brief Runtime-dispatched SIMD kernels for the LUT-GEMM family.
 ///
-/// The PR-8 blocked kernels walk panels with scalar loads: one product-LUT
-/// load per MAC in the forward, one gradient-LUT load per (grad, tap) in the
-/// backward. This subtree vectorizes those walks a la T-MAC / DeepGEMM:
+/// The scalar kernels of lut_kernels.cpp do one product-LUT load per MAC in
+/// the forward and one gradient-pair load per MAC in the backward. This
+/// subtree vectorizes those walks a la T-MAC / DeepGEMM:
 ///
 ///   - a pshufb-style in-register 16-entry LUT path for small-operand
 ///     multipliers (bits <= 4): the activation codes are nibble-packed two
@@ -15,18 +15,21 @@
 ///     OR'd with the pre-shifted weight code and looked up with a vector
 ///     gather, accumulating into 4 (AVX2) or 8 (AVX-512) independent int64
 ///     lanes per step;
-///   - gather-vectorized gradient-LUT walks for the backward (AVX2+): lanes
-///     run across the depth axis, the compacted nonzero-gradient replay
-///     stays serial per lane, so every gx/gw element performs the scalar
-///     oracle's float additions in the scalar oracle's order.
+///   - the fused one-sweep backward (AVX2 8 lanes, AVX-512 16 lanes with
+///     masked depth tails): lanes run along contiguous depth of the
+///     row-major code mirrors, one 64-bit gather per lane fetches the
+///     (dX, dW) pair of core::GradLut::pair_table(), and the p-outer /
+///     o-inner walk gives every gx/gw element the scalar oracle's float
+///     additions in the scalar oracle's order.
 ///
 /// Dispatch contract (DESIGN.md section 17). select() probes the CPU once
-/// (SSSE3 / AVX2 / AVX-512F via cpuid) and honours AMRET_SIMD=
+/// (SSSE3 / AVX2 / AVX-512F+BW via cpuid) and honours AMRET_SIMD=
 /// scalar|ssse3|avx2|avx512 as a *cap*: requesting a level the machine or
 /// build lacks falls back to the best supported level below it, with a typed
-/// warning through src/obs. Every entry point below returns false when the
-/// active level has no eligible kernel for the operands; callers then run
-/// the PR-8 blocked loops, which remain the bitwise-determinism oracle:
+/// warning through src/obs. The AVX-512 level needs AVX-512F and AVX-512BW
+/// (the masked 16-bit code loads of the backward tails). Every entry point
+/// below reports how much of its work it did; callers run the scalar loops
+/// over the rest, and those remain the bitwise-determinism oracle:
 ///   - the forward accumulator is int64, so any lane split is exact and
 ///     SIMD forward output memcmp-equals the scalar oracle;
 ///   - the backward lanes preserve the per-element float op order, so
@@ -44,7 +47,7 @@
 namespace amret::kernels::simd {
 
 /// Instruction-set levels in dispatch order. kScalar always works and means
-/// "run the PR-8 blocked oracle".
+/// "run the scalar loops of lut_kernels.cpp".
 enum class Isa : int {
     kScalar = 0,
     kSsse3 = 1,
@@ -99,43 +102,17 @@ void clear_isa_override();
 bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
                       std::int64_t ob, std::int64_t* acc);
 
-/// One (position row, depth block) segment of the blocked grad-X walk: for
-/// kk in [0, kr), gxrow[kbase + kk] accumulates, over the compacted nonzero
-/// output gradients j in ascending order,
-///   g[j] * s[j] * (grad_x_lut[wcodes[off[j] + kb_off + kk*to] | xc(kk)] - zw[j])
-/// with xc(kk) = xpan[kk * tp + pr_rel].
-struct GradXBlockArgs {
-    const std::uint32_t* wcodes = nullptr; ///< full pre-shifted weight panels
-    const std::uint16_t* xpan = nullptr;   ///< activation panel (rb, kb)
-    const float* grad_x_lut = nullptr;
-    const std::int64_t* off = nullptr; ///< per-j weight panel-row offsets
-    const float* g = nullptr;          ///< per-j output gradients
-    const float* zw = nullptr;         ///< per-j weight zero points
-    const float* s = nullptr;          ///< per-j weight scales
-    std::int64_t cnt = 0;
-    std::int64_t kb_off = 0; ///< kb * w.plan.panel_elems()
-    std::int64_t kr = 0, to = 0, tp = 0;
-    std::int64_t pr_rel = 0, kbase = 0;
-    float* gxrow = nullptr;
-};
-bool grad_x_block(const GradXBlockArgs& a);
-
-/// One (output row, position block, depth block) segment of the blocked
-/// grad-W walk: for kk in [0, kr), gwrow[kbase + kk] accumulates, over the
-/// compacted nonzero position gradients j in ascending order,
-///   pg[j] * (grad_w_lut[wpan[kk*to + orel] | xpan[kk*tp + pidx[j]]] - zx)
-struct GradWBlockArgs {
-    const std::uint32_t* wpan = nullptr; ///< weight panel (wrb, kb)
-    const std::uint16_t* xpan = nullptr; ///< activation panel (rb, kb)
-    const float* grad_w_lut = nullptr;
-    const std::int64_t* pidx = nullptr; ///< per-j position lanes
-    const float* pg = nullptr;          ///< per-j output gradients
-    std::int64_t cnt = 0;
-    std::int64_t kr = 0, to = 0, tp = 0;
-    std::int64_t orel = 0, kbase = 0;
-    float zx = 0.0f;
-    float* gwrow = nullptr;
-};
-bool grad_w_block(const GradWBlockArgs& a);
+/// Depth columns [k0, k1) of the fused backward sweep (lut_backward_blocked,
+/// same arguments): for every position p ascending and every nonzero
+/// gyp[p, o] in ascending o,
+///   gx_raw[p, k] += (g * s_w[o]) * (pairs[2*idx] - Z_w[o])
+///   gw_raw[o, k] += g * (pairs[2*idx + 1] - Z_x)
+/// with idx = (w[o, k] << bits) | x[p, k]. Returns the end of the leading
+/// column range it covered: k0 when the level has no backward leaf, a
+/// whole number of 8-lane vectors past k0 at AVX2, k1 at AVX-512. The
+/// caller finishes [returned, k1) in the scalar loop.
+std::int64_t backward_columns(const BlockedGemmArgs& a, const float* gyp,
+                              const float* pairs, std::int64_t k0,
+                              std::int64_t k1, float* gw_raw, float* gx_raw);
 
 } // namespace amret::kernels::simd

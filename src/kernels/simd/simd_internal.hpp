@@ -43,11 +43,19 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
 void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, std::int64_t* acc);
 
-// Backward leaves (AVX2): vectorize across 8 independent depth lanes while
-// replaying the compacted nonzero gradients serially per lane — every
-// gx/gw element performs the scalar oracle's float ops in the oracle's
-// order, so results are bitwise-identical.
-void grad_x_block_avx2(const GradXBlockArgs& a);
-void grad_w_block_avx2(const GradWBlockArgs& a);
+// Fused backward sweep leaves (contract of simd::backward_columns): lanes
+// along contiguous depth, one 64-bit (dX, dW) pair gather per lane, p outer
+// and nonzero o inner, so every gx/gw element performs the scalar oracle's
+// float ops in the oracle's order. The AVX2 leaf covers whole 8-lane
+// vectors and returns where it stopped; the AVX-512 leaf masks its depth
+// tail and covers [k0, k1).
+std::int64_t backward_columns_avx2(const BlockedGemmArgs& a, const float* gyp,
+                                   const float* pairs, std::int64_t k0,
+                                   std::int64_t k1, float* gw_raw,
+                                   float* gx_raw);
+std::int64_t backward_columns_avx512(const BlockedGemmArgs& a, const float* gyp,
+                                     const float* pairs, std::int64_t k0,
+                                     std::int64_t k1, float* gw_raw,
+                                     float* gx_raw);
 
 } // namespace amret::kernels::simd::detail

@@ -21,15 +21,24 @@ namespace amret::kernels::tune {
 /// Per-channel / per-filter loops (one channel is already a big work item).
 inline constexpr std::int64_t kGrainChannel = 1;
 
-/// Position-row loops of a LUT GEMM (forward rows, gx rows).
-inline constexpr std::int64_t kGrainGemmRows = 4;
-
 /// Row-sum / LUT-table-row scans.
 inline constexpr std::int64_t kGrainSumRows = 8;
 
 /// Gradient-LUT row fills and per-row LUT invariant checks (each row is a
 /// 2^B-entry scan plus a difference-gradient pass).
 inline constexpr std::int64_t kGrainLutRows = 4;
+
+/// Depth columns per group of the fused LUT backward (lut_backward_blocked):
+/// its parallel split hands out whole groups, so one AVX-512 vector (two
+/// AVX2 vectors) never straddles two chunks and only a layer's last group
+/// can carry a ragged depth tail.
+inline constexpr std::int64_t kBackwardGroup = 16;
+
+/// Column groups per chunk of the fused LUT backward. Every chunk re-scans
+/// the upstream gradient for its nonzero entries and re-reads the
+/// activation codes, so chunks stay at least 64 columns wide. The split
+/// never changes results (every gx/gw element keeps its defining order).
+inline constexpr std::int64_t kGrainBackwardGroups = 4;
 
 /// Bias-gradient accumulation rows. Feeds parallel_accumulate: changing it
 /// changes the reduction association order and thus float results.

@@ -1,8 +1,11 @@
 #include "netlist/serialize.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -146,6 +149,51 @@ std::optional<Netlist> load_netlist(const std::string& path) {
         nl.add_output(name, net);
     }
     return nl;
+}
+
+namespace {
+
+/// Exclusive flock on a lock file for the guard's lifetime; a no-op guard
+/// when the file cannot be opened (read-only cache directory).
+class FileLock {
+public:
+    explicit FileLock(const std::string& path)
+        : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
+        if (fd_ < 0) return;
+        while (::flock(fd_, LOCK_EX) != 0) {
+            if (errno != EINTR) {
+                ::close(fd_);
+                fd_ = -1;
+                return;
+            }
+        }
+    }
+    ~FileLock() {
+        if (fd_ >= 0) ::close(fd_); // closing the descriptor drops the lock
+    }
+    FileLock(const FileLock&) = delete;
+    FileLock& operator=(const FileLock&) = delete;
+
+private:
+    int fd_;
+};
+
+} // namespace
+
+Netlist load_or_build(const std::string& path,
+                      const std::function<bool(const Netlist&)>& accept,
+                      const std::function<Netlist()>& build) {
+    const auto load_accepted = [&]() -> std::optional<Netlist> {
+        auto nl = load_netlist(path);
+        if (nl && accept(*nl)) return nl;
+        return std::nullopt;
+    };
+    if (auto nl = load_accepted()) return std::move(*nl);
+    const FileLock lock(path + ".lock");
+    if (auto nl = load_accepted()) return std::move(*nl);
+    Netlist built = build();
+    save_netlist(built, path);
+    return built;
 }
 
 } // namespace amret::netlist

@@ -130,8 +130,7 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
     std::vector<float> gx(static_cast<std::size_t>(P * K), 0.0f);
     kernels::Workspace ws;
     kernels::lut_backward_blocked(blocked(args, ws), gyp.data(),
-                                  grad.dw_table().data(), grad.dx_table().data(),
-                                  gw.data(), gx.data(), ws);
+                                  grad.pair_table().data(), gw.data(), gx.data());
 
     // STE raw sums: gw[o,k] = sum_p gyp * (Xq - Zx); gx[p,k] = sum_o gyp * (Wq - Zw).
     for (std::int64_t o = 0; o < O; ++o)

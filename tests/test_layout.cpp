@@ -249,9 +249,8 @@ TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
             std::fill(gw.begin(), gw.end(), 0.0f);
             std::fill(gx.begin(), gx.end(), 0.0f);
             kernels::lut_backward_blocked(b, g.gyp.data(),
-                                          g.grad.dw_table().data(),
-                                          g.grad.dx_table().data(), gw.data(),
-                                          gx.data(), ws);
+                                          g.grad.pair_table().data(), gw.data(),
+                                          gx.data());
             ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
                                   nw * sizeof(float)),
                       0)

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 namespace {
 
@@ -318,6 +321,49 @@ TEST(Serialize, SaveIntoMissingDirectoryFailsAndCreatesNothing) {
     std::filesystem::remove_all(dir);
     EXPECT_FALSE(save_netlist(make_xor_circuit(), (dir / "x.netlist").string()));
     EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(Serialize, LoadOrBuildBuildsOnceAcrossConcurrentProcesses) {
+    const std::filesystem::path dir = scratch_dir("single_flight");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "entry.netlist").string();
+    const std::string log = (dir / "builds.log").string();
+
+    // Two processes ask for the same missing entry at once. Each build
+    // appends a line to a shared log and holds on long enough that the other
+    // process arrives while it is still running.
+    pid_t kids[2];
+    for (pid_t& kid : kids) {
+        kid = ::fork();
+        ASSERT_GE(kid, 0);
+        if (kid == 0) {
+            const Netlist nl = load_or_build(
+                path, [](const Netlist& n) { return n.num_outputs() == 1; },
+                [&log] {
+                    {
+                        std::ofstream f(log, std::ios::app);
+                        f << ::getpid() << "\n";
+                    }
+                    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+                    return make_xor_circuit();
+                });
+            ::_exit(nl.num_outputs() == 1 ? 0 : 1);
+        }
+    }
+    for (const pid_t kid : kids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    }
+    std::ifstream f(log);
+    int builds = 0;
+    for (std::string line; std::getline(f, line);) ++builds;
+    EXPECT_EQ(builds, 1);
+    const auto cached = load_netlist(path);
+    ASSERT_TRUE(cached.has_value());
+    EXPECT_EQ(cached->num_outputs(), 1u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -195,7 +197,7 @@ struct SimdRandom {
             v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
         for (auto& v : xq)
             v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
-        // Mixed-in zeros hit the nonzero-gradient compaction path.
+        // Mixed-in zeros exercise the sweep's zero-gradient skip.
         for (auto& v : gyp)
             v = (rng.uniform_u64(4) == 0) ? 0.0f
                                           : static_cast<float>(rng.normal());
@@ -276,49 +278,81 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
     }
 }
 
+/// The difference gradient of a perturbed multiplier: negative and
+/// fractional entries, with dX != dW at most indices, so a swapped or
+/// shifted (dX, dW) pair lane cannot match the oracle.
+core::GradLut hostile_difference_grad(unsigned bits) {
+    const appmult::AppMultLut noisy(bits, [](std::uint64_t w, std::uint64_t x) {
+        return w * x + (((w * 31 + x * 17) * 2654435761u) >> 16) % 23;
+    });
+    return core::build_difference_grad(noisy, 2);
+}
+
 TEST(SimdKernels, BackwardMatchesScalarOracleBitwise) {
     util::Rng rng(102);
     const std::vector<Isa> isas = runnable_isas();
     for (const unsigned bits : {4u, 8u}) {
+        const core::GradLut diff = hostile_difference_grad(bits);
+        bool negative = false, fractional = false, asymmetric = false;
+        for (std::size_t i = 0; i < diff.dx_table().size(); ++i) {
+            const float dx = diff.dx_table()[i], dw = diff.dw_table()[i];
+            negative = negative || dx < 0.0f || dw < 0.0f;
+            fractional = fractional || dx != std::floor(dx);
+            asymmetric = asymmetric || dx != dw;
+        }
+        ASSERT_TRUE(negative && fractional && asymmetric)
+            << "bits=" << bits << " negative=" << negative
+            << " fractional=" << fractional << " asymmetric=" << asymmetric;
+
         for (const GemmShape& sh : kShapes) {
             const bool per_channel = (sh.p % 2) == 1;
-            const SimdRandom g(bits, sh.o, sh.p, sh.k, per_channel, rng);
+            SimdRandom g(bits, sh.o, sh.p, sh.k, per_channel, rng);
+            // Every fourth gradient row entirely zero (the sweep skips every
+            // channel of the row) and -0.0f entries, which the oracle skips
+            // like +0.0f.
+            for (std::int64_t pp = 1; pp < sh.p; pp += 4)
+                std::fill_n(g.gyp.begin() + pp * sh.o, sh.o, 0.0f);
+            for (auto& v : g.gyp)
+                if (rng.uniform_u64(8) == 0) v = -0.0f;
             const std::size_t nw = static_cast<std::size_t>(sh.o * sh.k);
             const std::size_t nx = static_cast<std::size_t>(sh.p * sh.k);
 
-            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
-            lutref::naive_backward(g.gemm, g.gyp.data(),
-                                   g.grad.dw_table().data(),
-                                   g.grad.dx_table().data(), gw_ref.data(),
-                                   gx_ref.data());
+            for (const core::GradLut* table : {&std::as_const(g.grad), &diff}) {
+                const char* table_name = table == &diff ? "diff" : "ste";
+                std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+                lutref::naive_backward(g.gemm, g.gyp.data(),
+                                       table->dw_table().data(),
+                                       table->dx_table().data(), gw_ref.data(),
+                                       gx_ref.data());
 
-            Workspace ws;
-            std::vector<float> gw(nw), gx(nx);
-            for (const auto& t : kTiles) {
-                ws.reset();
-                const BlockedGemmArgs b = lutref::pack_blocked(
-                    g.gemm, t.tp, t.to, t.tk, ws, /*nibbles=*/true);
-                for (const Isa isa : isas) {
-                    ScopedIsa pin(isa);
-                    std::fill(gw.begin(), gw.end(), 0.0f);
-                    std::fill(gx.begin(), gx.end(), 0.0f);
-                    kernels::lut_backward_blocked(
-                        b, g.gyp.data(), g.grad.dw_table().data(),
-                        g.grad.dx_table().data(), gw.data(), gx.data(), ws);
-                    ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
-                                          nw * sizeof(float)),
-                              0)
-                        << "gw " << kernels::simd::isa_name(isa)
-                        << " bits=" << bits << " o=" << sh.o << " p=" << sh.p
-                        << " k=" << sh.k << " tiles=(" << t.tp << "," << t.to
-                        << "," << t.tk << ")";
-                    ASSERT_EQ(std::memcmp(gx.data(), gx_ref.data(),
-                                          nx * sizeof(float)),
-                              0)
-                        << "gx " << kernels::simd::isa_name(isa)
-                        << " bits=" << bits << " o=" << sh.o << " p=" << sh.p
-                        << " k=" << sh.k << " tiles=(" << t.tp << "," << t.to
-                        << "," << t.tk << ")";
+                Workspace ws;
+                std::vector<float> gw(nw), gx(nx);
+                for (const auto& t : kTiles) {
+                    ws.reset();
+                    const BlockedGemmArgs b = lutref::pack_blocked(
+                        g.gemm, t.tp, t.to, t.tk, ws, /*nibbles=*/true);
+                    for (const Isa isa : isas) {
+                        ScopedIsa pin(isa);
+                        std::fill(gw.begin(), gw.end(), 0.0f);
+                        std::fill(gx.begin(), gx.end(), 0.0f);
+                        kernels::lut_backward_blocked(b, g.gyp.data(),
+                                                      table->pair_table().data(),
+                                                      gw.data(), gx.data());
+                        ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
+                                              nw * sizeof(float)),
+                                  0)
+                            << "gw " << kernels::simd::isa_name(isa) << " "
+                            << table_name << " bits=" << bits << " o=" << sh.o
+                            << " p=" << sh.p << " k=" << sh.k << " tiles=("
+                            << t.tp << "," << t.to << "," << t.tk << ")";
+                        ASSERT_EQ(std::memcmp(gx.data(), gx_ref.data(),
+                                              nx * sizeof(float)),
+                                  0)
+                            << "gx " << kernels::simd::isa_name(isa) << " "
+                            << table_name << " bits=" << bits << " o=" << sh.o
+                            << " p=" << sh.p << " k=" << sh.k << " tiles=("
+                            << t.tp << "," << t.to << "," << t.tk << ")";
+                    }
                 }
             }
         }
